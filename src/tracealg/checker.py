@@ -247,16 +247,8 @@ def random_brookes_set(
     cfg: SampleConfig,
     rng: random.Random | None = None,
 ) -> TraceSet:
-    rng = rng or random.Random(cfg.seed)
-    gens = []
-    for _ in range(rng.randint(*cfg.gens)):
-        length = rng.randint(*cfg.length)
-        steps = tuple(
-            Transition(rng.choice(space.stores), rng.choice(space.stores))
-            for _ in range(length)
-        )
-        gens.append(Trace(CEDE, steps, CEDE, rng.choice(list(names))))
-    return canonicalize(brookes_set(gens))
+    """A random closed set of the cede fragment, with values drawn from ``names``."""
+    return random_closed_set(space, CEDE, {n: CEDE for n in names}, cfg, rng)
 
 
 def random_gtable(

@@ -12,7 +12,8 @@ terms in a parenthesized prefix syntax::
 Operator spellings: ``or`` (variadic join), ``bot`` (empty join), ``upd L B``,
 ``lkp L``, ``acq``, ``rel``, and ``tr S S`` with stores as bitstrings in
 location order.  Exit codes: 0 when the queried relation holds (or a report
-passes), 1 when refuted, 2 on parse, sorting, or configuration errors.
+passes), 1 when refuted, 2 on parse, sorting, configuration, or internal
+errors.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from dataclasses import dataclass
 
 from .checker import (
     SampleConfig,
+    _denote_as_traces,
     check_equal,
     check_refines,
-    denote,
     denote_B,
-    denote_G,
     run_nogo2,
     run_nogo3,
     validate_axioms,
@@ -40,7 +40,7 @@ from .kernel import (
     Var,
     check_sort,
 )
-from .model import gtable_to_traceset, par
+from .model import par
 from .store import StoreSpace
 from .theories import (
     THEORY_NAMES,
@@ -219,6 +219,8 @@ def parse_file(path: str) -> TermFile:
     for lno, name, sort_name in var_lines:
         if name in ctx:
             raise ParseError(f"variable {name!r} declared twice", lno, 1)
+        if SORT_NAMES[sort_name] not in theory.signature.sorts:
+            raise ParseError(f"theory {theory_name} has no sort {sort_name!r}", lno, 1)
         ctx[name] = SORT_NAMES[sort_name]
 
     terms: dict[str, Term] = {}
@@ -313,41 +315,29 @@ def _lookup_terms(tf: TermFile, *names: str) -> list[Term]:
     return out
 
 
-def cmd_eq(args: argparse.Namespace) -> int:
+def _decide(args: argparse.Namespace, decider) -> int:
     tf = parse_file(args.file)
     lhs, rhs = _lookup_terms(tf, args.lhs, args.rhs)
-    verdict = check_equal(tf.theory.name, tf.ctx, lhs, rhs, tf.space)
+    verdict = decider(tf.theory.name, tf.ctx, lhs, rhs, tf.space)
     if verdict.holds:
         print("holds")
         return 0
     print(f"refuted ({verdict.direction}): {verdict.witness.render()}")
     return 1
+
+
+def cmd_eq(args: argparse.Namespace) -> int:
+    return _decide(args, check_equal)
 
 
 def cmd_refines(args: argparse.Namespace) -> int:
-    tf = parse_file(args.file)
-    lhs, rhs = _lookup_terms(tf, args.lhs, args.rhs)
-    verdict = check_refines(tf.theory.name, tf.ctx, lhs, rhs, tf.space)
-    if verdict.holds:
-        print("holds")
-        return 0
-    print(f"refuted ({verdict.direction}): {verdict.witness.render()}")
-    return 1
+    return _decide(args, check_refines)
 
 
 def cmd_denote(args: argparse.Namespace) -> int:
     tf = parse_file(args.file)
     (term,) = _lookup_terms(tf, args.name)
-    name = tf.theory.name
-    if name in ("S", "Tr"):
-        K = denote(name, tf.ctx, term, tf.space)
-    elif name == "B":
-        K = denote_B(tf.ctx, term, tf.space)
-    elif name == "G":
-        K = gtable_to_traceset(tf.space, denote_G(tf.ctx, term, tf.space))
-    else:
-        raise UnknownTheory(f"denote supports S, Tr, B, and G files, not {name}")
-    _print_traceset(K, args.json)
+    _print_traceset(_denote_as_traces(tf.theory.name, tf.ctx, term, tf.space), args.json)
     return 0
 
 
@@ -394,6 +384,21 @@ def cmd_par(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracealg",
@@ -421,15 +426,15 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="validate a theory's axioms on sampled models")
     p.add_argument("--theory", required=True, choices=THEORY_NAMES)
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--samples", type=_at_least(1), default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--locs", default=None)
     p.set_defaults(handler=cmd_axioms)
 
     p = sub.add_parser("nogo", help="run a named experiment")
     p.add_argument("--which", type=int, required=True, choices=(2, 3))
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--depth", type=_at_least(0), default=3)
+    p.add_argument("--samples", type=_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--locs", default=None)
     p.set_defaults(handler=cmd_nogo)
@@ -443,6 +448,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (ParseError, TermError, UnknownTheory, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # an internal failure must not read as "refuted"
+        first_line = str(exc).partition("\n")[0]
+        print(f"error: {type(exc).__name__}: {first_line}", file=sys.stderr)
         return 2
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 
 class Sort(Enum):
@@ -349,12 +349,3 @@ class TermAlgebra(Algebra):
 def term_algebra(sig: Signature, ctx: VarContext | None = None) -> TermAlgebra:
     """Evaluating here with a substitution as environment is substitution."""
     return TermAlgebra(sig, ctx)
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, App):
-            stack.extend(node.args)

@@ -2,10 +2,12 @@
 
 ``TraceAlgebra`` interprets the two-sorted shared-state signature (and the
 two-sorted transition signature) on finitely generated closed trace sets;
-``BrookesAlgebra`` interprets the single-sorted transition signature on
-cede-delimited traces; ``GTableAlgebra`` interprets nondeterministic global
-state as store functions.  All operations work on generators and are exact
-for the denoted closures, a fact the oracle tests pin down.
+``BrookesAlgebra`` interprets the single-sorted transition signature on the
+cede fragment of the same sets, cede-sorted sets whose generators cede at
+their value, and shares join, unit and extension with ``TraceAlgebra``;
+``GTableAlgebra`` interprets nondeterministic global state as store
+functions.  All operations work on generators and are exact for the denoted
+closures, a fact the oracle tests pin down.
 """
 
 from __future__ import annotations
@@ -29,11 +31,9 @@ from .kernel import (
     join as join_term,
 )
 from .store import Store, StoreSpace, Transition
-from .theories import build, cell_assert_term, open_transition_term
+from .theories import build, open_transition_term
 from .traces import (
-    BROOKES,
     SORTED,
-    DisciplineMismatch,
     Trace,
     TraceSet,
     brookes_set,
@@ -43,6 +43,9 @@ from .traces import (
     sorted_set,
     _space_for,
 )
+
+# Acquire canonicalizes results with more generators than this.
+CANONICAL_THRESHOLD = 8
 
 
 def unit(space: StoreSpace, sort: Sort, value: str) -> TraceSet:
@@ -59,20 +62,15 @@ class TraceAlgebra(Algebra):
     Acquire relabels generators to the ceding start sort (front stutters are
     then recovered by closure); release emits each generator both bare and
     behind every possible stutter, since a held start blocks front
-    stuttering.  Acquire canonicalizes large results: the stutter-prefixed
-    generators release produced collapse once the start sort cedes again,
-    which keeps nested delimiter chains from compounding.
+    stuttering.  Acquire canonicalizes results above ``CANONICAL_THRESHOLD``
+    generators: the stutter-prefixed generators release produced collapse
+    once the start sort cedes again, which keeps nested delimiter chains
+    from compounding.
     """
 
-    def __init__(
-        self,
-        space: StoreSpace,
-        signature: Signature | None = None,
-        canonical_threshold: int = 8,
-    ):
+    def __init__(self, space: StoreSpace, signature: Signature | None = None):
         self.space = space
         self.signature = signature or build("S", space).signature
-        self.canonical_threshold = canonical_threshold
 
     def apply(self, op: Operator, args: tuple) -> TraceSet:
         if op.kind == "join":
@@ -127,8 +125,8 @@ class TraceAlgebra(Algebra):
         gens = frozenset(
             Trace(CEDE, g.steps, g.value_sort, g.value) for g in K.generators
         )
-        out = TraceSet(SORTED, CEDE, gens)
-        if len(gens) > self.canonical_threshold:
+        out = TraceSet(CEDE, gens)
+        if len(gens) > CANONICAL_THRESHOLD:
             out = canonicalize(out)
         return out
 
@@ -162,8 +160,6 @@ class TraceAlgebra(Algebra):
 
     @staticmethod
     def _expect(K: TraceSet, sort: Sort) -> None:
-        if K.discipline != SORTED:
-            raise DisciplineMismatch("sorted operations need sorted sets")
         if K.sort is not sort:
             raise SortMismatch(f"expected a {sort.value}-sorted set, got {K.sort.value}")
 
@@ -176,15 +172,11 @@ def kleisli(env: Mapping[str, TraceSet], K: TraceSet) -> TraceSet:
     shared intermediate store.  Both parts follow from the ends-invariance
     of closed sets, so generator pairs suffice.
     """
-    if K.discipline != SORTED:
-        raise DisciplineMismatch("the sorted extension needs a sorted set")
     gens = set()
     for g in K.generators:
         if g.value not in env:
             raise MissingBinding(f"no continuation for value {g.value!r}")
         cont = env[g.value]
-        if cont.discipline != SORTED:
-            raise DisciplineMismatch("continuations must be sorted sets")
         if cont.sort is not g.value_sort:
             raise SortMismatch(
                 f"continuation for {g.value!r} is {cont.sort.value}-sorted, "
@@ -208,16 +200,6 @@ def kleisli(env: Mapping[str, TraceSet], K: TraceSet) -> TraceSet:
 # Reification: closed sets back to terms
 
 
-def cell_assert(space: StoreSpace, loc: int, bit: int, body: Term) -> Term:
-    sig = build("S", space).signature
-    return cell_assert_term(sig, space, loc, bit, body)
-
-
-def open_transition(space: StoreSpace, pre: Store, post: Store, body: Term) -> Term:
-    sig = build("S", space).signature
-    return open_transition_term(sig, space, pre, post, body)
-
-
 def reify_trace(space: StoreSpace, t: Trace) -> Term:
     """The term denoting exactly the closure of the one-trace set."""
     sig = build("S", space).signature
@@ -237,18 +219,20 @@ def reify_trace(space: StoreSpace, t: Trace) -> Term:
 
 def reify(space: StoreSpace, K: TraceSet) -> Term:
     """Join the reified generators in canonical order."""
-    if K.discipline != SORTED:
-        raise DisciplineMismatch("reification applies to sorted sets")
     sig = build("S", space).signature
     return join_term(sig, K.sort, tuple(reify_trace(space, g) for g in K.ordered()))
 
 
 # ---------------------------------------------------------------------------
-# Brookes-style sets: all ends ceded
+# Brookes-style sets: the cede fragment, all ends ceded
 
 
 class BrookesAlgebra(Algebra):
-    """Cede-delimited trace sets as a model of the transition signature."""
+    """Cede-delimited trace sets as a model of the transition signature.
+
+    Its carrier is the cede fragment of ``TraceAlgebra``'s: join, unit and
+    the extension are the two-sorted ones at the cede sort.
+    """
 
     def __init__(self, space: StoreSpace, signature: Signature | None = None):
         self.space = space
@@ -262,11 +246,7 @@ class BrookesAlgebra(Algebra):
         raise NotImplementedError(f"no brookes interpretation for {op.name}")
 
     def join(self, args: Sequence[TraceSet]) -> TraceSet:
-        gens: set[Trace] = set()
-        for k in args:
-            self._expect(k)
-            gens |= k.generators
-        return brookes_set(gens)
+        return TraceAlgebra.join(self, CEDE, args)
 
     def transition(self, pre: Store, post: Store, K: TraceSet) -> TraceSet:
         self._expect(K)
@@ -276,9 +256,7 @@ class BrookesAlgebra(Algebra):
         )
 
     def unit(self, value: str) -> TraceSet:
-        return brookes_set(
-            Trace(CEDE, (Transition(s, s),), CEDE, value) for s in self.space.stores
-        )
+        return unit(self.space, CEDE, value)
 
     def read(self, loc: int, K0: TraceSet, K1: TraceSet) -> TraceSet:
         """Branch on a location: a stutter records the store that was read."""
@@ -302,42 +280,29 @@ class BrookesAlgebra(Algebra):
 
     def kleisli(self, env: Mapping[str, TraceSet], K: TraceSet) -> TraceSet:
         self._expect(K)
-        gens = set()
-        for g in K.generators:
-            if g.value not in env:
-                raise MissingBinding(f"no continuation for value {g.value!r}")
-            cont = env[g.value]
-            self._expect(cont)
-            for h in cont.generators:
-                gens.add(Trace(CEDE, g.steps + h.steps, CEDE, h.value))
-        return brookes_set(gens)
+        return kleisli(env, K)
 
     @staticmethod
     def _expect(K: TraceSet) -> None:
-        if K.discipline != BROOKES:
-            raise DisciplineMismatch("expected a brookes set")
+        if K.sort is not CEDE:
+            raise SortMismatch(f"brookes sets are cede-sorted, got a {K.sort.value}-sorted set")
 
 
 def strip_cede(K: TraceSet) -> TraceSet:
-    """Forget the (cede) sorts on both ends; inverse of ``embed_cede``."""
-    if K.discipline != SORTED or K.sort is not CEDE:
-        raise SortMismatch("only cede-sorted sets embed into the brookes model")
-    for g in K.generators:
-        if g.value_sort is not CEDE:
-            raise SortMismatch(f"generator holds at its value: {g.render()}")
+    """The ceded fragment seen as a brookes set; its generators must cede at
+    their value, and are returned unchanged."""
+    BrookesAlgebra._expect(K)
     return brookes_set(K.generators)
 
 
-def embed_cede(K: TraceSet) -> TraceSet:
-    if K.discipline != BROOKES:
-        raise DisciplineMismatch("embedding applies to brookes sets")
-    return TraceSet(SORTED, CEDE, K.generators)
+# Brookes sets are already cede-sorted sets, so embedding is the same identity.
+embed_cede = strip_cede
 
 
 def par(K1: TraceSet, K2: TraceSet, pairing: Callable[[str, str], str] | None = None) -> TraceSet:
     """All order-preserving interleavings of generator transition sequences."""
-    if K1.discipline != BROOKES or K2.discipline != BROOKES:
-        raise DisciplineMismatch("parallel composition applies to brookes sets")
+    BrookesAlgebra._expect(K1)
+    BrookesAlgebra._expect(K2)
     pairing = pairing or (lambda a, b: f"({a},{b})")
     gens = set()
     for g1 in K1.generators:
@@ -360,8 +325,7 @@ def par(K1: TraceSet, K2: TraceSet, pairing: Callable[[str, str], str] | None = 
 
 def yield1(K: TraceSet, space: StoreSpace | None = None) -> TraceSet:
     """Prefix every behaviour with an environment step (closure implicit)."""
-    if K.discipline != BROOKES:
-        raise DisciplineMismatch("yield applies to brookes sets")
+    BrookesAlgebra._expect(K)
     if K.is_empty():
         return K
     space = space or _space_for(K.generators)
@@ -398,7 +362,7 @@ def single_cell_witness(K: TraceSet, space: StoreSpace | None = None) -> bool:
         return True
     space = space or _space_for(K.generators)
     longest = max(len(g.steps) for g in K.generators)
-    closure = closure_bounded(K.generators, K.discipline, space, longest, slack=0)
+    closure = closure_bounded(K.generators, SORTED, space, longest, slack=0)
     return any(qualifies(t) for t in closure)
 
 
@@ -417,7 +381,7 @@ def hush_step(
     if max_len is None:
         max_len = max(len(g.steps) for g in K.generators) + 1
     out: set[Trace] = set()
-    for t in closure_bounded(K.generators, K.discipline, space, max_len):
+    for t in closure_bounded(K.generators, SORTED, space, max_len):
         if len(t.steps) < 2:
             continue
         for i, step in enumerate(t.steps):
@@ -448,10 +412,6 @@ class GTable:
 
     def is_empty(self) -> bool:
         return all(not row for row in self.rows)
-
-
-def gtable_subset(a: GTable, b: GTable) -> bool:
-    return all(ra <= rb for ra, rb in zip(a.rows, b.rows))
 
 
 def variable_gtable(space: StoreSpace, name: str) -> GTable:

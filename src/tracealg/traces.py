@@ -8,11 +8,14 @@ infinite and never materialised.  Membership in a closure is decided by a
 small dynamic program, validated exhaustively against the brute-force
 bounded closure.
 
-Two deduction disciplines exist.  The ``sorted`` discipline inserts a
-stutter at the very front only when the start sort cedes control, and at the
-very back only when the value sort does.  The ``brookes`` discipline (traces
-that cede on both ends, written here with cede sorts at both ends) permits
-both unconditionally.
+Closure follows one rule: a stutter may be inserted at the very front only
+when the start sort cedes control, and at the very back only when the value
+sort does.  Brookes's stutter/mumble closure of cede-delimited traces is the
+fragment where both ends cede, so a Brookes set is a cede-sorted set whose
+generators cede at their value (``brookes_set``).  The brute-force oracle
+takes the end rule as its ``discipline`` argument: ``SORTED`` is the rule
+above, ``BROOKES`` is Brookes's unconditional one, kept so that tests can
+check this agreement against an independent reference.
 """
 
 from __future__ import annotations
@@ -29,10 +32,6 @@ SORTED = "sorted"
 BROOKES = "brookes"
 
 DEFAULT_ORACLE_CAP = 1_000_000
-
-
-class DisciplineMismatch(Exception):
-    pass
 
 
 class BudgetExceeded(Exception):
@@ -76,28 +75,20 @@ def trace(start: Sort, steps: Iterable[tuple[Store, Store]], value_sort: Sort, v
 class TraceSet:
     """A closed set of traces, given by finite generators.
 
-    The set denoted is the deductive closure of the generators under the
-    named discipline; operations treat the closure semantically and never
-    expand it.  Under the sorted discipline all generators share the start
-    sort recorded in ``sort``; brookes generators cede on both ends.
+    The set denoted is the deductive closure of the generators; operations
+    treat the closure semantically and never expand it.  All generators
+    share the start sort recorded in ``sort``.
     """
 
-    discipline: str
     sort: Sort
     generators: frozenset[Trace]
 
     def __post_init__(self) -> None:
-        if self.discipline not in (SORTED, BROOKES):
-            raise ValueError(f"unknown discipline {self.discipline!r}")
         for g in self.generators:
-            if self.discipline == SORTED:
-                if g.start is not self.sort:
-                    raise ValueError(
-                        f"generator starts at {g.start.value}, set is {self.sort.value}-sorted"
-                    )
-            else:
-                if g.start is not CEDE or g.value_sort is not CEDE:
-                    raise ValueError("brookes generators must cede on both ends")
+            if g.start is not self.sort:
+                raise ValueError(
+                    f"generator starts at {g.start.value}, set is {self.sort.value}-sorted"
+                )
 
     def is_empty(self) -> bool:
         return not self.generators
@@ -107,11 +98,16 @@ class TraceSet:
 
 
 def sorted_set(sort: Sort, gens: Iterable[Trace]) -> TraceSet:
-    return TraceSet(SORTED, sort, frozenset(gens))
+    return TraceSet(sort, frozenset(gens))
 
 
 def brookes_set(gens: Iterable[Trace]) -> TraceSet:
-    return TraceSet(BROOKES, CEDE, frozenset(gens))
+    """A cede-sorted set whose generators all cede at their value."""
+    K = sorted_set(CEDE, gens)
+    for g in K.generators:
+        if g.value_sort is not CEDE:
+            raise SortMismatch(f"generator holds at its value: {g.render()}")
+    return K
 
 
 def _space_for(traces: Iterable[Trace]) -> StoreSpace:
@@ -126,7 +122,11 @@ def _space_for(traces: Iterable[Trace]) -> StoreSpace:
 
 
 def step_deductions(t: Trace, discipline: str, space: StoreSpace) -> frozenset[Trace]:
-    """All one-step stutter insertions and mumble fusions of ``t``."""
+    """All one-step stutter insertions and mumble fusions of ``t``.
+
+    Under ``SORTED`` an end stutter needs a ceding sort at that end; under
+    ``BROOKES`` both ends accept one unconditionally.
+    """
     front_ok = discipline == BROOKES or t.start is CEDE
     back_ok = discipline == BROOKES or t.value_sort is CEDE
     out: set[Trace] = set()
@@ -147,6 +147,19 @@ def step_deductions(t: Trace, discipline: str, space: StoreSpace) -> frozenset[T
     return frozenset(out)
 
 
+def _oracle_cap() -> int:
+    text = os.environ.get("BROOKES_ORACLE_CAP")
+    if text is None:
+        return DEFAULT_ORACLE_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"BROOKES_ORACLE_CAP must be a non-negative integer, got {text!r}")
+    return cap
+
+
 def closure_bounded(
     gens: Iterable[Trace],
     discipline: str,
@@ -164,7 +177,7 @@ def closure_bounded(
     """
     gens = list(gens)
     if cap is None:
-        cap = int(os.environ.get("BROOKES_ORACLE_CAP", DEFAULT_ORACLE_CAP))
+        cap = _oracle_cap()
     for g in gens:
         if len(g.steps) > max_len:
             raise ValueError("max_len must cover the longest generator")
@@ -187,7 +200,7 @@ def closure_bounded(
 # Closure membership without materialising the closure
 
 
-def _gen_contains(g: Trace, t: Trace, lenient_ends: bool) -> bool:
+def _gen_contains(g: Trace, t: Trace) -> bool:
     """Decide whether ``t`` is deducible from the single generator ``g``.
 
     ``t`` must assign every position either a fused block of consecutive
@@ -200,8 +213,8 @@ def _gen_contains(g: Trace, t: Trace, lenient_ends: bool) -> bool:
         return False
     gs, ts = g.steps, t.steps
     m, n = len(gs), len(ts)
-    front_ok = lenient_ends or t.start is CEDE
-    back_ok = lenient_ends or t.value_sort is CEDE
+    front_ok = t.start is CEDE
+    back_ok = t.value_sort is CEDE
     reach = 1
     for j in range(n):
         pre, post = ts[j]
@@ -230,15 +243,10 @@ def member(t: Trace, K: TraceSet) -> bool:
     Both deductions are unary, so the closure of a union is the union of the
     closures and membership is a disjunction over generators.
     """
-    if K.discipline == BROOKES and (t.start is not CEDE or t.value_sort is not CEDE):
-        raise DisciplineMismatch("brookes sets contain only cede-delimited traces")
-    lenient = K.discipline == BROOKES
-    return any(_gen_contains(g, t, lenient) for g in K.generators)
+    return any(_gen_contains(g, t) for g in K.generators)
 
 
 def _check_comparable(a: TraceSet, b: TraceSet) -> None:
-    if a.discipline != b.discipline:
-        raise DisciplineMismatch(f"{a.discipline} set compared against {b.discipline} set")
     if a.sort is not b.sort:
         raise SortMismatch(f"{a.sort.value}-sorted set compared against {b.sort.value}-sorted set")
 
@@ -267,7 +275,6 @@ def canonicalize(K: TraceSet) -> TraceSet:
     Scanning longest-first lets the shortest representative of mutually
     deducible generators survive, which fixes the canonical enumeration.
     """
-    lenient = K.discipline == BROOKES
     buckets: dict[tuple, list[Trace]] = {}
     for g in K.generators:
         buckets.setdefault((g.start, g.value_sort, g.value), []).append(g)
@@ -277,10 +284,10 @@ def canonicalize(K: TraceSet) -> TraceSet:
         surviving: list[Trace] = []
         for idx, t in enumerate(group):
             rest = group[idx + 1 :] + surviving
-            if not any(_gen_contains(g, t, lenient) for g in rest):
+            if not any(_gen_contains(g, t) for g in rest):
                 surviving.append(t)
         kept.extend(surviving)
-    return TraceSet(K.discipline, K.sort, frozenset(kept))
+    return TraceSet(K.sort, frozenset(kept))
 
 
 def prefix(sigma: Store, rho: Store, K: TraceSet) -> TraceSet:
@@ -290,8 +297,6 @@ def prefix(sigma: Store, rho: Store, K: TraceSet) -> TraceSet:
     its source store under all sorted deductions, so rewriting the first
     transition of each matching generator computes the image of the closure.
     """
-    if K.discipline != SORTED:
-        raise DisciplineMismatch("prefixing applies to sorted sets")
     if K.sort is not HOLD:
         raise SortMismatch("prefixing applies to hold-sorted sets")
     gens = set()
@@ -300,4 +305,4 @@ def prefix(sigma: Store, rho: Store, K: TraceSet) -> TraceSet:
         if first.pre == rho:
             steps = (Transition(sigma, first.post),) + g.steps[1:]
             gens.add(Trace(HOLD, steps, g.value_sort, g.value))
-    return TraceSet(SORTED, HOLD, frozenset(gens))
+    return sorted_set(HOLD, gens)

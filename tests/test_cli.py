@@ -142,14 +142,13 @@ def test_denote_json_roundtrip(ex17, capsys):
         for s, post in (("00", "10"), ("01", "11"), ("10", "10"), ("11", "11"))
     ]
     # the listing rebuilds into the denotation it came from
-    from tracealg import SORTED, Sort, StoreSpace, Trace, TraceSet, Transition, equal
+    from tracealg import Sort, StoreSpace, Trace, Transition, equal, sorted_set
     from tracealg.checker import denote
 
     space = StoreSpace()
-    rebuilt = TraceSet(
-        SORTED,
+    rebuilt = sorted_set(
         Sort("cede"),
-        frozenset(
+        (
             Trace(
                 Sort(entry["start_sort"]),
                 tuple(
@@ -187,6 +186,22 @@ def test_nogo_command(capsys):
     assert main(["nogo", "--which", "3", "--samples", "5"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nogo", "--which", "2", "--depth", "-1"],
+        ["nogo", "--which", "3", "--samples", "0"],
+        ["nogo", "--which", "3", "--samples", "many"],
+        ["axioms", "--theory", "J", "--samples", "0"],
+    ],
+)
+def test_numeric_options_are_validated(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+
 def test_par_command(bfile, capsys):
     assert main(["par", bfile, "ret", "ret"]) == 0
     out = capsys.readouterr().out
@@ -203,6 +218,54 @@ def test_locs_warning(tmp_path, capsys):
 def test_too_many_locations(tmp_path, capsys):
     path = tmp_path / "wide.talg"
     path.write_text("theory S\nlocs a b c d e\nvar v : cede\ndef t = v\n")
+    assert main(["denote", str(path), "t"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "theory Tgs\nvar a : hold\ndef t = a\n",
+        "theory S\nvar a : star\ndef t = (acq (rel a))\n",
+    ],
+)
+def test_var_sort_missing_from_theory(tmp_path, capsys, text):
+    path = tmp_path / "sorts.talg"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        parse_file(str(path))
+    assert err.value.line == 2
+    assert main(["eq", str(path), "t", "t"]) == 2
+
+
+def test_internal_error_exits_2(tmp_path, capsys):
+    # this depth exhausts the recursion of the term walks; the resulting
+    # RecursionError must not leave through exit 1, which means "refuted"
+    depth = 400
+    path = tmp_path / "deep.talg"
+    path.write_text(f"theory S\nvar x : cede\ndef t = {'(acq (rel ' * depth}x{'))' * depth}\n")
+    assert main(["eq", str(path), "t", "t"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_denote_covers_tgs(tmp_path, capsys):
+    from tracealg.checker import _denote_as_traces
+
+    path = tmp_path / "tgs.talg"
+    path.write_text(
+        "theory Tgs\nlocs x y\nvar a : star\nvar b : star\n"
+        "def t = (or (tr 11 10 a) (tr 01 01 b))\n"
+    )
+    assert main(["denote", str(path), "t"]) == 0
+    tf = parse_file(str(path))
+    listing = _denote_as_traces("Tgs", tf.ctx, tf.terms["t"], tf.space)
+    assert capsys.readouterr().out == "".join(g.render() + "\n" for g in listing.ordered())
+    assert len(listing.generators) == 2
+
+
+def test_denote_rejects_join_theory(tmp_path, capsys):
+    path = tmp_path / "j.talg"
+    path.write_text("theory J\nvar a : star\ndef t = (or a a)\n")
     assert main(["denote", str(path), "t"]) == 2
 
 

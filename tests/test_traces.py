@@ -11,7 +11,6 @@ from tracealg import (
     HOLD,
     SORTED,
     BudgetExceeded,
-    DisciplineMismatch,
     SortMismatch,
     Store,
     StoreSpace,
@@ -111,6 +110,14 @@ def test_closure_budget_cap_from_environment(monkeypatch):
         closure_bounded([g], SORTED, SP, 4)
 
 
+@pytest.mark.parametrize("text", ["abc", "-1"])
+def test_closure_budget_cap_from_environment_is_validated(monkeypatch, text):
+    monkeypatch.setenv("BROOKES_ORACLE_CAP", text)
+    g = mk(CEDE, [("11", "00")], CEDE)
+    with pytest.raises(ValueError, match="BROOKES_ORACLE_CAP"):
+        closure_bounded([g], SORTED, SP, 4)
+
+
 def test_closure_requires_covering_generators():
     g = mk(CEDE, [("11", "00"), ("00", "00")], CEDE)
     with pytest.raises(ValueError):
@@ -164,9 +171,11 @@ def test_member_distinguishes_value_and_sorts():
 
 
 def test_member_brookes_discipline_guard():
+    # a brookes set is cede-sorted: a held start is simply not a member
     K = brookes_set([mk(CEDE, [("11", "00")], CEDE)])
-    with pytest.raises(DisciplineMismatch):
-        member(mk(HOLD, [("11", "00")], CEDE), K)
+    assert not member(mk(HOLD, [("11", "00")], CEDE), K)
+    with pytest.raises(SortMismatch):
+        brookes_set([mk(CEDE, [("11", "00")], HOLD)])
 
 
 def test_member_agrees_with_oracle_exhaustively_small():
@@ -251,7 +260,7 @@ def test_subset_requires_same_shape():
     k2 = sorted_set(CEDE, [])
     with pytest.raises(SortMismatch):
         subset(k1, k2)
-    with pytest.raises(DisciplineMismatch):
+    with pytest.raises(SortMismatch):
         subset(k1, brookes_set([]))
 
 
@@ -306,7 +315,7 @@ def test_prefix_identity_on_matching_stutter():
 def test_prefix_requires_held_sorted_set():
     with pytest.raises(SortMismatch):
         prefix(ST["11"], ST["10"], sorted_set(CEDE, []))
-    with pytest.raises(DisciplineMismatch):
+    with pytest.raises(SortMismatch):
         prefix(ST["11"], ST["10"], brookes_set([]))
 
 
