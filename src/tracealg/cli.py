@@ -194,6 +194,8 @@ def parse_file(path: str) -> TermFile:
             if len(words) < 2:
                 raise ParseError("usage: locs NAME...", lno, 1)
             locations = tuple(words[1:])
+            if len(set(locations)) != len(locations):
+                raise ParseError(f"duplicate location in {' '.join(locations)!r}", lno, 1)
         elif head == "var":
             if len(words) != 4 or words[2] != ":" or words[3] not in SORT_NAMES:
                 raise ParseError("usage: var NAME : hold|cede|star", lno, 1)
@@ -228,7 +230,10 @@ def parse_file(path: str) -> TermFile:
         if name in terms:
             raise ParseError(f"term {name!r} defined twice", lno, 1)
         raw = _parse_sexpr(tokens, lno, space)
-        terms[name] = check_sort(theory.signature, ctx, raw)
+        try:
+            terms[name] = check_sort(theory.signature, ctx, raw)
+        except TermError as exc:
+            raise ParseError(str(exc), lno, tokens[0][1]) from None
     return TermFile(theory, ctx, terms)
 
 

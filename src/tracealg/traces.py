@@ -16,6 +16,15 @@ generators cede at their value (``brookes_set``).  The brute-force oracle
 takes the end rule as its ``discipline`` argument: ``SORTED`` is the rule
 above, ``BROOKES`` is Brookes's unconditional one, kept so that tests can
 check this agreement against an independent reference.
+
+Deductions never change a trace's normal form under two rewrite rules:
+fuse a chained pair ``(p,q)(q,r) -> (p,r)`` and delete a stutter ``(p,p)``.
+Both rules shorten the steps, so rewriting terminates; every overlap of two
+redexes rejoins in one step, so by Newman's lemma it is confluent and each
+trace has one normal form.  A mumble is one rewrite and a stutter insertion
+undoes one, so a generator deduces only traces with its start sort, value
+sort, value and normal form (``_closure_key``).  ``canonicalize`` and
+``missing_witness`` compare generators only within these classes.
 """
 
 from __future__ import annotations
@@ -260,11 +269,42 @@ def equal(a: TraceSet, b: TraceSet) -> bool:
     return subset(a, b) and subset(b, a)
 
 
+def _normal_form(steps: tuple[Transition, ...]) -> tuple[tuple[Store, Store], ...]:
+    """``steps`` rewritten until no chained pair and no stutter is left.
+
+    One left-to-right pass with a stack is one order of rewriting; by
+    confluence (see the module docstring) every order ends here.
+    """
+    nf: list[tuple[Store, Store]] = []
+    for pre, post in steps:
+        if nf and nf[-1][1] == pre:
+            pre = nf.pop()[0]
+        if pre != post:
+            nf.append((pre, post))
+    return tuple(nf)
+
+
+def _closure_key(t: Trace) -> tuple:
+    """Start sort, value sort, value and the normal form of ``t``'s steps.
+
+    ``t`` deduces only traces with its key.  The converse fails: the key
+    ignores the end rule.
+    """
+    return (t.start, t.value_sort, t.value, _normal_form(t.steps))
+
+
 def missing_witness(a: TraceSet, b: TraceSet) -> Trace | None:
-    """The least generator of ``a`` (length first) outside the closure of ``b``."""
+    """The least generator of ``a`` (length first) outside the closure of ``b``.
+
+    Only ``b``'s generators with the same ``_closure_key`` can deduce a
+    generator of ``a``, so each is tested against that class alone.
+    """
     _check_comparable(a, b)
+    classes: dict[tuple, list[Trace]] = {}
+    for h in b.generators:
+        classes.setdefault(_closure_key(h), []).append(h)
     for g in a.ordered():
-        if not member(g, b):
+        if not member(g, TraceSet(b.sort, frozenset(classes.get(_closure_key(g), ())))):
             return g
     return None
 
@@ -274,19 +314,29 @@ def canonicalize(K: TraceSet) -> TraceSet:
 
     Scanning longest-first lets the shortest representative of mutually
     deducible generators survive, which fixes the canonical enumeration.
+    A generator can only be deduced from one with the same
+    ``_closure_key``, so the scan runs within each key's class; the
+    survivors are those of a scan over the whole set in the same order.
     """
     buckets: dict[tuple, list[Trace]] = {}
     for g in K.generators:
         buckets.setdefault((g.start, g.value_sort, g.value), []).append(g)
     kept: list[Trace] = []
-    for _, group in sorted(buckets.items(), key=lambda kv: kv[0][2]):
-        group.sort(key=Trace.key, reverse=True)
-        surviving: list[Trace] = []
-        for idx, t in enumerate(group):
-            rest = group[idx + 1 :] + surviving
-            if not any(_gen_contains(g, t) for g in rest):
-                surviving.append(t)
-        kept.extend(surviving)
+    for bucket in buckets.values():
+        if len(bucket) == 1:  # nothing to compare, so no normal form needed
+            kept.extend(bucket)
+            continue
+        classes: dict[tuple, list[Trace]] = {}
+        for g in bucket:
+            classes.setdefault(_normal_form(g.steps), []).append(g)
+        for group in classes.values():
+            group.sort(key=Trace.key, reverse=True)
+            surviving: list[Trace] = []
+            for idx, t in enumerate(group):
+                rest = group[idx + 1 :] + surviving
+                if not any(_gen_contains(g, t) for g in rest):
+                    surviving.append(t)
+            kept.extend(surviving)
     return TraceSet(K.sort, frozenset(kept))
 
 

@@ -84,6 +84,25 @@ def test_parse_error_reports_position(tmp_path):
     assert "z" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("theory S\nvar x : cede\n\ndef t = (acq (rel z))\n", 4),
+        ("theory S\nvar x : cede\ndef t = (acq x)\n", 3),
+        ("theory S\nlocs x y x\nvar x : cede\ndef t = x\n", 2),
+    ],
+)
+def test_parse_error_names_the_directive_line(tmp_path, capsys, text, line):
+    # sort errors on a def line and duplicate locations on the locs line
+    path = tmp_path / "bad.talg"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        parse_file(str(path))
+    assert err.value.line == line
+    assert main(["denote", str(path), "t"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {line}:")
+
+
 def test_parse_rejects_unknown_directive(tmp_path):
     path = tmp_path / "bad.talg"
     path.write_text("theory S\nfrobnicate\n")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tracealg
 from tracealg import (
     BROOKES,
     CEDE,
@@ -15,10 +16,14 @@ from tracealg import (
     Store,
     StoreSpace,
     Trace,
+    TraceSet,
     Transition,
     brookes_set,
+    build,
     canonicalize,
+    check_sort,
     closure_bounded,
+    denote,
     equal,
     member,
     prefix,
@@ -26,8 +31,10 @@ from tracealg import (
     step_deductions,
     subset,
 )
+from tracealg.traces import _closure_key, _gen_contains, missing_witness
 
 SP = StoreSpace()
+SP1 = StoreSpace(("x",))
 ST = {s.render(): s for s in SP.stores}
 
 
@@ -264,6 +271,13 @@ def test_subset_requires_same_shape():
         subset(k1, brookes_set([]))
 
 
+def random_steps(rng, space, lo, hi):
+    return tuple(
+        Transition(rng.choice(space.stores), rng.choice(space.stores))
+        for _ in range(rng.randint(lo, hi))
+    )
+
+
 def test_canonicalize_preserves_closure():
     gens = [
         mk(CEDE, [("11", "00")], CEDE),
@@ -274,6 +288,23 @@ def test_canonicalize_preserves_closure():
     canon = canonicalize(K)
     assert equal(K, canon)
     assert len(canon.generators) < len(K.generators)
+    # random one-location sets, against the brute-force closure up to the
+    # longest generator (which canonical generators never exceed)
+    rng = random.Random(17)
+    for _ in range(60):
+        start = rng.choice((HOLD, CEDE))
+        K = sorted_set(
+            start,
+            [
+                Trace(start, random_steps(rng, SP1, 1, 3), rng.choice((HOLD, CEDE)), "v")
+                for _ in range(rng.randint(1, 6))
+            ],
+        )
+        canon = canonicalize(K)
+        longest = max(len(g.steps) for g in K.generators)
+        assert closure_bounded(canon.generators, SORTED, SP1, longest) == closure_bounded(
+            K.generators, SORTED, SP1, longest
+        )
 
 
 def test_canonicalize_keeps_shortest_of_mutual_pair():
@@ -289,6 +320,158 @@ def test_canonicalize_deterministic_given_equal_closures():
     c1 = canonicalize(sorted_set(CEDE, [a, b]))
     c2 = canonicalize(sorted_set(CEDE, [b, a]))
     assert c1 == c2
+
+
+# ---------------------------------------------------------------------------
+# Normal-form classes: the key every deduction keeps
+
+
+def canonicalize_pairwise(K):
+    """``canonicalize`` without closure classes: every pair of generators
+    that share start sort, value sort and value is compared."""
+    buckets = {}
+    for g in K.generators:
+        buckets.setdefault((g.start, g.value_sort, g.value), []).append(g)
+    kept = []
+    for _, group in sorted(buckets.items(), key=lambda kv: kv[0][2]):
+        group.sort(key=Trace.key, reverse=True)
+        surviving = []
+        for idx, t in enumerate(group):
+            rest = group[idx + 1 :] + surviving
+            if not any(_gen_contains(g, t) for g in rest):
+                surviving.append(t)
+        kept.extend(surviving)
+    return TraceSet(K.sort, frozenset(kept))
+
+
+def missing_witness_unindexed(a, b):
+    """``missing_witness`` testing each generator against all of ``b``."""
+    for g in a.ordered():
+        if not member(g, b):
+            return g
+    return None
+
+
+def listing(K):
+    return [g.render() for g in K.ordered()]
+
+
+def random_generator_pair(rng):
+    """Two sets over one space and start sort; ``b`` mixes a subset of
+    ``a``'s generators, some of their one-step deductions, and fresh ones."""
+    space = rng.choice((SP1, SP))
+    start = rng.choice((HOLD, CEDE))
+
+    def fresh():
+        return Trace(start, random_steps(rng, space, 1, 4), rng.choice((HOLD, CEDE)), rng.choice("uv"))
+
+    a = [fresh() for _ in range(rng.randint(0, 12))]
+    b = [g for g in a if rng.random() < 0.5]
+    for g in a:
+        succ = sorted(step_deductions(g, SORTED, space), key=Trace.key)
+        if succ and rng.random() < 0.3:
+            b.append(rng.choice(succ))
+    b += [fresh() for _ in range(rng.randint(0, 4))]
+    return sorted_set(start, a), sorted_set(start, b)
+
+
+def test_canonicalize_and_missing_witness_match_references_on_random_sets():
+    rng = random.Random(2026)
+    witnesses = 0
+    for _ in range(2000):
+        a, b = random_generator_pair(rng)
+        assert listing(canonicalize(a)) == listing(canonicalize_pairwise(a))
+        assert listing(canonicalize(b)) == listing(canonicalize_pairwise(b))
+        for x, y in ((a, b), (b, a)):
+            w = missing_witness(x, y)
+            assert w == missing_witness_unindexed(x, y)
+            witnesses += w is not None
+    assert witnesses > 1000
+
+
+def chain_raw(k, n):
+    """``k`` atomic blocks over ``n`` locations; block i writes i mod 2 to
+    location i mod n, and the chain ends in the cede variable ``C``."""
+    t = "C"
+    for i in reversed(range(k)):
+        t = ("acq", (f"upd:l{i % n}:{i % 2}", ("rel", t)))
+    return t
+
+
+def test_chain_denotations_match_references(monkeypatch):
+    cases = []
+    for k, n in [(k, 1) for k in range(1, 9)] + [(k, 2) for k in range(1, 4)]:
+        space = StoreSpace(tuple(f"l{i}" for i in range(n)))
+        sig = build("S", space).signature
+        chain = check_sort(sig, {"C": CEDE}, chain_raw(k, n))
+        dead = check_sort(sig, {"C": CEDE}, ("acq", ("upd:l0:1", ("rel", chain_raw(k, n)))))
+        denoted = [denote("S", {"C": CEDE}, t, space) for t in (chain, dead)]
+        cases.append((space, chain, *denoted))
+    for mod in (tracealg.model, tracealg.checker):
+        monkeypatch.setattr(mod, "canonicalize", canonicalize_pairwise)
+    for space, chain, d_chain, d_dead in cases:
+        assert listing(d_chain) == listing(denote("S", {"C": CEDE}, chain, space))
+        # chain ⊑ dead write holds (dead-write elimination); the reverse is refuted
+        assert missing_witness(d_chain, d_dead) is None
+        assert missing_witness_unindexed(d_chain, d_dead) is None
+        w = missing_witness(d_dead, d_chain)
+        assert w is not None and w == missing_witness_unindexed(d_dead, d_chain)
+
+
+def test_deductions_keep_the_closure_key_exhaustively():
+    for length in (1, 2, 3):
+        for steps in all_sequences(SP1.stores, length):
+            for start, vsort in itertools.product((HOLD, CEDE), repeat=2):
+                t = Trace(start, steps, vsort, "v")
+                for discipline in (SORTED, BROOKES):
+                    for succ in step_deductions(t, discipline, SP1):
+                        assert _closure_key(succ) == _closure_key(t)
+
+
+def transitions_strategy(space, lo, hi):
+    pair = st.builds(Transition, st.sampled_from(space.stores), st.sampled_from(space.stores))
+    return st.lists(pair, min_size=lo, max_size=hi).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    transitions_strategy(SP, 1, 4),
+    st.sampled_from((HOLD, CEDE)),
+    st.sampled_from((HOLD, CEDE)),
+    st.sampled_from((SORTED, BROOKES)),
+)
+def test_deductions_keep_the_closure_key_random(steps, start, vsort, discipline):
+    t = Trace(start, steps, vsort, "v")
+    for succ in step_deductions(t, discipline, SP):
+        assert _closure_key(succ) == _closure_key(t)
+
+
+def rewrite_to_fixpoint(steps, rng):
+    """Apply the fuse and delete rules at random redexes until none is left."""
+    steps = [tuple(s) for s in steps]
+    while True:
+        redexes = [("delete", i) for i, (p, q) in enumerate(steps) if p == q]
+        redexes += [
+            ("fuse", i) for i in range(len(steps) - 1) if steps[i][1] == steps[i + 1][0]
+        ]
+        if not redexes:
+            return tuple(steps)
+        rule, i = rng.choice(redexes)
+        if rule == "delete":
+            del steps[i]
+        else:
+            steps[i : i + 2] = [(steps[i][0], steps[i + 1][1])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(transitions_strategy(SP, 1, 7), st.integers(0, 2**32 - 1))
+def test_one_pass_normal_form_equals_random_rewriting(steps, seed):
+    # every rewrite order reaching the one-pass result is evidence that the
+    # rules are confluent, which the key's exactness rests on
+    key = _closure_key(Trace(CEDE, steps, CEDE, "v"))[3]
+    rng = random.Random(seed)
+    for _ in range(4):
+        assert rewrite_to_fixpoint(steps, rng) == key
 
 
 # ---------------------------------------------------------------------------
