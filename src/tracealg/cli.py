@@ -177,6 +177,7 @@ def parse_file(path: str) -> TermFile:
 
     theory_name: str | None = None
     locations: tuple[str, ...] | None = None
+    locs_line = 1
     var_lines: list[tuple[int, str, str]] = []
     def_lines: list[tuple[int, str, list[tuple[str, int]]]] = []
 
@@ -193,7 +194,7 @@ def parse_file(path: str) -> TermFile:
         elif head == "locs":
             if len(words) < 2:
                 raise ParseError("usage: locs NAME...", lno, 1)
-            locations = tuple(words[1:])
+            locations, locs_line = tuple(words[1:]), lno
             if len(set(locations)) != len(locations):
                 raise ParseError(f"duplicate location in {' '.join(locations)!r}", lno, 1)
         elif head == "var":
@@ -214,7 +215,7 @@ def parse_file(path: str) -> TermFile:
         raise ParseError("missing 'theory' directive", 1, 1)
     if theory_name not in THEORY_NAMES:
         raise ParseError(f"unknown theory {theory_name!r}", 1, 1)
-    space = _space_from_locations(locations)
+    space = _space_from_locations(locations, locs_line)
     theory = build(theory_name, space)
 
     ctx: dict[str, Sort] = {}
@@ -245,11 +246,21 @@ def parse_term(
     return check_sort(theory.signature, ctx, raw, expected)
 
 
-def _space_from_locations(locations: tuple[str, ...] | None) -> StoreSpace:
+def _space_from_locations(
+    locations: tuple[str, ...] | None, line: int | None = None
+) -> StoreSpace:
+    """The store space over ``locations``, or over ``x, y`` when none are given.
+
+    ``line`` is the line of a term file's ``locs`` directive; locations from
+    the ``--locs`` option have none, so their errors carry no file position.
+    """
     if locations is None:
         return StoreSpace()
     if len(locations) > MAX_LOCATIONS:
-        raise ParseError(f"at most {MAX_LOCATIONS} locations are supported", 1, 1)
+        message = f"at most {MAX_LOCATIONS} locations are supported"
+        if line is None:
+            raise ValueError(f"--locs: {message}")
+        raise ParseError(message, line, 1)
     if len(locations) > 2:
         print(
             f"warning: {len(locations)} locations give {2 ** len(locations)} stores; "

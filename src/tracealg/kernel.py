@@ -12,18 +12,24 @@ from enum import Enum
 from typing import Mapping, Sequence, Union
 
 
-class Sort(Enum):
+class Sort(str, Enum):
+    """A sort; a ``str`` subclass so that hashing a sort is the C string hash.
+
+    A sort equals its value string (``Sort.HOLD == "hold"``), so code that
+    must refuse plain strings tests sorts by identity.
+    """
+
     HOLD = "hold"  # exclusive access to the store
     CEDE = "cede"  # the environment may interleave
     STAR = "star"  # the one sort of single-sorted theories
 
     @property
     def symbol(self) -> str:
-        return {"hold": "•", "cede": "∘", "star": "⋆"}[self.value]
+        return _SYMBOL[self]
 
     @property
     def order(self) -> int:
-        return ("hold", "cede", "star").index(self.value)
+        return _ORDER[self]
 
     def __repr__(self) -> str:
         return f"Sort.{self.name}"
@@ -32,6 +38,9 @@ class Sort(Enum):
 HOLD = Sort.HOLD
 CEDE = Sort.CEDE
 STAR = Sort.STAR
+
+_SYMBOL = {HOLD: "•", CEDE: "∘", STAR: "⋆"}
+_ORDER = {HOLD: 0, CEDE: 1, STAR: 2}
 
 
 class TermError(Exception):

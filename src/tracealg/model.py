@@ -50,10 +50,7 @@ CANONICAL_THRESHOLD = 8
 
 def unit(space: StoreSpace, sort: Sort, value: str) -> TraceSet:
     """The single-stutter traces; this set is already closed."""
-    gens = (
-        Trace(sort, (Transition(s, s),), sort, value) for s in space.stores
-    )
-    return sorted_set(sort, gens)
+    return sorted_set(sort, (Trace(sort, (st,), sort, value) for st in space.stutters))
 
 
 class TraceAlgebra(Algebra):
@@ -96,28 +93,32 @@ class TraceAlgebra(Algebra):
         return sorted_set(sort, gens)
 
     def update(self, loc: int, bit: int, K: TraceSet) -> TraceSet:
-        """Union over input stores of prefixing with the store update."""
+        """Union over input stores of prefixing with the store update.
+
+        A generator whose first transition relies on ``loc = bit`` is kept
+        as it is (from its own source store the update rebuilds it), and
+        once more with the first source's bit flipped; the others drop.
+        """
         self._expect(K, HOLD)
+        flip = self.space.with_bit[loc][1 - bit]
         gens = set()
         for g in K.generators:
             first = g.steps[0]
-            if first.pre.get(loc) != bit:
+            if first.pre.bits[loc] != bit:
                 continue
-            for source in (first.pre, first.pre.set(loc, 1 - bit)):
-                steps = (Transition(source, first.post),) + g.steps[1:]
-                gens.add(Trace(HOLD, steps, g.value_sort, g.value))
+            gens.add(g)
+            steps = (Transition(flip[first.pre], first.post),) + g.steps[1:]
+            gens.add(Trace(HOLD, steps, g.value_sort, g.value))
         return sorted_set(HOLD, gens)
 
     def lookup(self, loc: int, K0: TraceSet, K1: TraceSet) -> TraceSet:
-        """Branch on the bit at ``loc`` without changing the store."""
+        """Branch on the bit at ``loc`` without changing the store: the
+        generators of ``K0`` relying on ``loc = 0`` and those of ``K1``
+        relying on ``loc = 1``, in one pass over each branch."""
         self._expect(K0, HOLD)
         self._expect(K1, HOLD)
-        branches = (K0, K1)
-        gens = set()
-        for sigma in self.space.stores:
-            for g in branches[sigma.get(loc)].generators:
-                if g.steps[0].pre == sigma:
-                    gens.add(g)
+        gens = {g for g in K0.generators if g.steps[0].pre.bits[loc] == 0}
+        gens.update(g for g in K1.generators if g.steps[0].pre.bits[loc] == 1)
         return sorted_set(HOLD, gens)
 
     def acquire(self, K: TraceSet) -> TraceSet:
@@ -132,12 +133,13 @@ class TraceAlgebra(Algebra):
 
     def release(self, K: TraceSet) -> TraceSet:
         self._expect(K, CEDE)
+        stutters = self.space.stutters
         gens = set()
         for g in K.generators:
-            gens.add(Trace(HOLD, g.steps, g.value_sort, g.value))
-            for sigma in self.space.stores:
-                steps = (Transition(sigma, sigma),) + g.steps
-                gens.add(Trace(HOLD, steps, g.value_sort, g.value))
+            steps, value_sort, value = g.steps, g.value_sort, g.value
+            gens.add(Trace(HOLD, steps, value_sort, value))
+            for stutter in stutters:
+                gens.add(Trace(HOLD, (stutter,) + steps, value_sort, value))
         return sorted_set(HOLD, gens)
 
     def transition(self, pre: Store, post: Store, K: TraceSet) -> TraceSet:
@@ -264,16 +266,17 @@ class BrookesAlgebra(Algebra):
         self._expect(K1)
         branches = (K0, K1)
         gens = set()
-        for sigma in self.space.stores:
-            for g in branches[sigma.get(loc)].generators:
-                gens.add(Trace(CEDE, (Transition(sigma, sigma),) + g.steps, CEDE, g.value))
+        for sigma, stutter in zip(self.space.stores, self.space.stutters):
+            for g in branches[sigma.bits[loc]].generators:
+                gens.add(Trace(CEDE, (stutter,) + g.steps, CEDE, g.value))
         return brookes_set(gens)
 
     def write(self, loc: int, bit: int, K: TraceSet) -> TraceSet:
         self._expect(K)
+        to = self.space.with_bit[loc][bit]
         gens = set()
         for sigma in self.space.stores:
-            step = Transition(sigma, sigma.set(loc, bit))
+            step = Transition(sigma, to[sigma])
             for g in K.generators:
                 gens.add(Trace(CEDE, (step,) + g.steps, CEDE, g.value))
         return brookes_set(gens)
@@ -330,8 +333,7 @@ def yield1(K: TraceSet, space: StoreSpace | None = None) -> TraceSet:
         return K
     space = space or _space_for(K.generators)
     gens = set()
-    for sigma in space.stores:
-        step = Transition(sigma, sigma)
+    for step in space.stutters:
         for g in K.generators:
             gens.add(Trace(CEDE, (step,) + g.steps, CEDE, g.value))
     return brookes_set(gens)
@@ -390,10 +392,10 @@ def hush_step(
             rest = t.steps[:i] + t.steps[i + 1 :]
             family_present = all(
                 member(
-                    Trace(t.start, t.steps[:i] + (Transition(s, s),) + t.steps[i + 1 :], t.value_sort, t.value),
+                    Trace(t.start, t.steps[:i] + (stutter,) + t.steps[i + 1 :], t.value_sort, t.value),
                     K,
                 )
-                for s in space.stores
+                for stutter in space.stutters
             )
             if family_present:
                 out.add(Trace(t.start, rest, t.value_sort, t.value))
@@ -445,9 +447,8 @@ class GTableAlgebra(Algebra):
         if op.kind == "update":
             loc, bit = op.params
             (k,) = args
-            return GTable(
-                tuple(k.rows[self._index[s.set(loc, bit)]] for s in self.space.stores)
-            )
+            to = self.space.with_bit[loc][bit]
+            return GTable(tuple(k.rows[self._index[to[s]]] for s in self.space.stores))
         if op.kind == "lookup":
             (loc,) = op.params
             k0, k1 = args

@@ -45,10 +45,20 @@ class Transition(NamedTuple):
 
 @dataclass(frozen=True)
 class StoreSpace:
-    """The set of all stores over an ordered location list (default ``x, y``)."""
+    """The set of all stores over an ordered location list (default ``x, y``).
+
+    Two tables, built once per space, spare the model operations from
+    building stores and stutters per generator: ``with_bit[loc][bit][s]`` is
+    the member of ``stores`` equal to ``s.set(loc, bit)``, and
+    ``stutters[i]`` is the stutter ``Transition(s, s)`` at ``s = stores[i]``.
+    """
 
     locations: tuple[str, ...] = ("x", "y")
     stores: tuple[Store, ...] = field(init=False, repr=False, compare=False)
+    with_bit: tuple[tuple[dict[Store, Store], dict[Store, Store]], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    stutters: tuple[Transition, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.locations:
@@ -58,7 +68,18 @@ class StoreSpace:
         all_stores = tuple(
             Store(bits) for bits in itertools.product((0, 1), repeat=len(self.locations))
         )
+        # ``all_stores[i]`` has the bits of ``i``, most significant first
+        width = len(self.locations)
+        with_bit = tuple(
+            tuple(
+                {s: all_stores[i & ~mask | mask * bit] for i, s in enumerate(all_stores)}
+                for bit in (0, 1)
+            )
+            for mask in (1 << (width - 1 - loc) for loc in range(width))
+        )
         object.__setattr__(self, "stores", all_stores)
+        object.__setattr__(self, "with_bit", with_bit)
+        object.__setattr__(self, "stutters", tuple(Transition(s, s) for s in all_stores))
 
     def __len__(self) -> int:
         return len(self.stores)

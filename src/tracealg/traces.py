@@ -2,7 +2,11 @@
 
 A trace is a non-empty sequence of store transitions delimited by sorts: the
 start sort says whether the environment may run before the first transition,
-the value sort whether it may run after the last.  Closed sets of traces are
+the value sort whether it may run after the last.  ``Trace`` is a plain
+immutable tuple ``(start, steps, value_sort, value)`` of sorts (``str``
+enums), transitions (tuples of stores) and a string, so the model
+operations, which build and hash many traces, do C-level work on each; only
+its constructor's checks run in Python.  Closed sets of traces are
 represented by finite generator sets; the closure itself is countably
 infinite and never materialised.  Membership in a closure is decided by a
 small dynamic program, validated exhaustively against the brute-force
@@ -32,6 +36,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .kernel import CEDE, HOLD, Sort, SortMismatch
@@ -47,20 +52,43 @@ class BudgetExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Trace:
-    """A sorted trace: start sort, non-empty transitions, sorted value."""
+class Trace(tuple):
+    """A sorted trace: start sort, non-empty transitions, sorted value.
 
-    start: Sort
-    steps: tuple[Transition, ...]
-    value_sort: Sort
-    value: str
+    An immutable ``(start, steps, value_sort, value)`` tuple, so that
+    building, hashing and comparing one is C-level tuple work.  Construction
+    goes through ``__new__`` only, which checks the steps are non-empty and
+    each end sort *is* ``HOLD`` or ``CEDE``; the test is by identity, since
+    the string ``"hold"`` equals ``HOLD``.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.steps:
+    __slots__ = ()
+
+    def __new__(
+        cls, start: Sort, steps: tuple[Transition, ...], value_sort: Sort, value: str
+    ) -> "Trace":
+        if not steps:
             raise ValueError("a trace needs at least one transition")
-        if self.start not in (HOLD, CEDE) or self.value_sort not in (HOLD, CEDE):
+        if (start is not HOLD and start is not CEDE) or (
+            value_sort is not HOLD and value_sort is not CEDE
+        ):
             raise ValueError("trace sorts must be hold or cede")
+        return tuple.__new__(cls, (start, steps, value_sort, value))
+
+    start = property(itemgetter(0), doc="The start sort.")
+    steps = property(itemgetter(1), doc="The transitions, a non-empty tuple.")
+    value_sort = property(itemgetter(2), doc="The sort of the value.")
+    value = property(itemgetter(3), doc="The value's name.")
+
+    def __getnewargs__(self) -> tuple:
+        # pickle and copy rebuild through __new__, and so through its checks
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (
+            f"Trace(start={self.start!r}, steps={self.steps!r}, "
+            f"value_sort={self.value_sort!r}, value={self.value!r})"
+        )
 
     def render(self) -> str:
         body = " ".join(t.render() for t in self.steps)
@@ -145,8 +173,8 @@ def step_deductions(t: Trace, discipline: str, space: StoreSpace) -> frozenset[T
             continue
         if pos == n and not back_ok:
             continue
-        for sigma in space.stores:
-            steps = t.steps[:pos] + (Transition(sigma, sigma),) + t.steps[pos:]
+        for stutter in space.stutters:
+            steps = t.steps[:pos] + (stutter,) + t.steps[pos:]
             out.add(Trace(t.start, steps, t.value_sort, t.value))
     for i in range(n - 1):
         a, b = t.steps[i], t.steps[i + 1]
@@ -297,14 +325,20 @@ def missing_witness(a: TraceSet, b: TraceSet) -> Trace | None:
     """The least generator of ``a`` (length first) outside the closure of ``b``.
 
     Only ``b``'s generators with the same ``_closure_key`` can deduce a
-    generator of ``a``, so each is tested against that class alone.
+    generator of ``a``, so each is tested against that class alone; a
+    class's set is built the first time a generator of ``a`` needs it.
     """
     _check_comparable(a, b)
     classes: dict[tuple, list[Trace]] = {}
     for h in b.generators:
         classes.setdefault(_closure_key(h), []).append(h)
+    class_sets: dict[tuple, TraceSet] = {}
     for g in a.ordered():
-        if not member(g, TraceSet(b.sort, frozenset(classes.get(_closure_key(g), ())))):
+        key = _closure_key(g)
+        K = class_sets.get(key)
+        if K is None:
+            K = class_sets[key] = TraceSet(b.sort, frozenset(classes.get(key, ())))
+        if not member(g, K):
             return g
     return None
 

@@ -238,6 +238,16 @@ def test_too_many_locations(tmp_path, capsys):
     path = tmp_path / "wide.talg"
     path.write_text("theory S\nlocs a b c d e\nvar v : cede\ndef t = v\n")
     assert main(["denote", str(path), "t"]) == 2
+    assert "error: 2:1: at most 4 locations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["axioms", "--theory", "S"], ["nogo", "--which", "2"], ["nogo", "--which", "3"]],
+)
+def test_too_many_locs_option_has_no_file_position(capsys, argv):
+    assert main(argv + ["--locs", "a,b,c,d,e"]) == 2
+    assert capsys.readouterr().err == "error: --locs: at most 4 locations are supported\n"
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from tracealg import (
     SortMismatch,
     StoreSpace,
     Trace,
+    TraceAlgebra,
     Transition,
     Var,
     brookes_set,
@@ -35,7 +36,7 @@ from tracealg import (
     yield2,
 )
 from tracealg.checker import SampleConfig, random_brookes_set, random_closed_set
-from tracealg.model import GTableAlgebra, gtable_to_traceset, variable_gtable
+from tracealg.model import GTable, GTableAlgebra, gtable_to_traceset, variable_gtable
 from tracealg.theories import open_transition_term
 
 SP = StoreSpace()
@@ -462,3 +463,128 @@ def test_gtable_traceset_view_is_closed(space):
         table = random_gtable(space, ("u", "v"), rng)
         K = gtable_to_traceset(space, table)
         assert closure_bounded(K.generators, SORTED, space, 2) == K.generators
+
+
+# ---------------------------------------------------------------------------
+# The table-driven operations against the store-scanning ones they replace
+
+
+def scan_update(space, loc, bit, K):
+    gens = set()
+    for g in K.generators:
+        first = g.steps[0]
+        if first.pre.get(loc) != bit:
+            continue
+        for source in (first.pre, first.pre.set(loc, 1 - bit)):
+            steps = (Transition(source, first.post),) + g.steps[1:]
+            gens.add(Trace(HOLD, steps, g.value_sort, g.value))
+    return sorted_set(HOLD, gens)
+
+
+def scan_lookup(space, loc, K0, K1):
+    gens = set()
+    for sigma in space.stores:
+        for g in (K0, K1)[sigma.get(loc)].generators:
+            if g.steps[0].pre == sigma:
+                gens.add(g)
+    return sorted_set(HOLD, gens)
+
+
+def scan_release(space, K):
+    gens = set()
+    for g in K.generators:
+        gens.add(Trace(HOLD, g.steps, g.value_sort, g.value))
+        for sigma in space.stores:
+            gens.add(Trace(HOLD, (Transition(sigma, sigma),) + g.steps, g.value_sort, g.value))
+    return sorted_set(HOLD, gens)
+
+
+def scan_read(space, loc, K0, K1):
+    gens = set()
+    for sigma in space.stores:
+        for g in (K0, K1)[sigma.get(loc)].generators:
+            gens.add(Trace(CEDE, (Transition(sigma, sigma),) + g.steps, CEDE, g.value))
+    return brookes_set(gens)
+
+
+def scan_write(space, loc, bit, K):
+    gens = set()
+    for sigma in space.stores:
+        step = Transition(sigma, sigma.set(loc, bit))
+        for g in K.generators:
+            gens.add(Trace(CEDE, (step,) + g.steps, CEDE, g.value))
+    return brookes_set(gens)
+
+
+def scan_gtable_update(space, loc, bit, table):
+    index = {s: i for i, s in enumerate(space.stores)}
+    return GTable(tuple(table.rows[index[s.set(loc, bit)]] for s in space.stores))
+
+
+def raw_set(space, sort, rng, brookes=False):
+    """Up to eight generators of one to three steps, not canonicalized."""
+    gens = []
+    for _ in range(rng.randint(0, 8)):
+        steps = tuple(
+            Transition(rng.choice(space.stores), rng.choice(space.stores))
+            for _ in range(rng.randint(1, 3))
+        )
+        value = rng.choice(sorted(VALUES))
+        value_sort = CEDE if brookes else VALUES[value]
+        gens.append(Trace(sort, steps, value_sort, value))
+    return sorted_set(sort, gens)
+
+
+SPACES = [StoreSpace(tuple(f"l{i}" for i in range(n))) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
+def test_space_tables_match_store_operations(space):
+    for loc in range(len(space.locations)):
+        for bit in (0, 1):
+            assert space.with_bit[loc][bit] == {s: s.set(loc, bit) for s in space.stores}
+    assert space.stutters == tuple(Transition(s, s) for s in space.stores)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
+def test_trace_operations_equal_store_scans(space):
+    rng = random.Random(len(space.locations))
+    alg = TraceAlgebra(space)
+    for _ in range(60):
+        held, other = raw_set(space, HOLD, rng), raw_set(space, HOLD, rng)
+        ceded = raw_set(space, CEDE, rng)
+        assert alg.release(ceded).generators == scan_release(space, ceded).generators
+        for loc in range(len(space.locations)):
+            got = alg.lookup(loc, held, other)
+            assert got.sort is HOLD
+            assert got.generators == scan_lookup(space, loc, held, other).generators
+            for bit in (0, 1):
+                got = alg.update(loc, bit, held)
+                assert got.sort is HOLD
+                assert got.generators == scan_update(space, loc, bit, held).generators
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
+def test_brookes_operations_equal_store_scans(space):
+    rng = random.Random(10 + len(space.locations))
+    alg = BrookesAlgebra(space)
+    for _ in range(60):
+        K0, K1 = raw_set(space, CEDE, rng, brookes=True), raw_set(space, CEDE, rng, brookes=True)
+        for loc in range(len(space.locations)):
+            assert alg.read(loc, K0, K1).generators == scan_read(space, loc, K0, K1).generators
+            for bit in (0, 1):
+                assert alg.write(loc, bit, K0).generators == scan_write(space, loc, bit, K0).generators
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
+def test_gtable_update_equals_store_scan(space):
+    from tracealg.checker import random_gtable
+
+    rng = random.Random(20 + len(space.locations))
+    alg = GTableAlgebra(space)
+    updates = [op for op in alg.signature.operators.values() if op.kind == "update"]
+    assert len(updates) == 2 * len(space.locations)
+    for _ in range(30):
+        table = random_gtable(space, ("u", "v"), rng, max_outcomes=3)
+        for op in updates:
+            assert alg.apply(op, (table,)) == scan_gtable_update(space, *op.params, table)

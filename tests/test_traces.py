@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -44,6 +46,59 @@ def tr(a, b):
 
 def mk(start, pairs, value_sort, value="v"):
     return Trace(start, tuple(tr(a, b) for a, b in pairs), value_sort, value)
+
+
+# ---------------------------------------------------------------------------
+# The Trace value
+
+
+PINNED = mk(CEDE, [("10", "00"), ("00", "10")], HOLD, "x")
+
+
+@pytest.mark.parametrize(
+    "start, steps, value_sort",
+    [
+        ("hold", (tr("00", "01"),), CEDE),  # equals HOLD, but is not a sort
+        (HOLD, (tr("00", "01"),), "cede"),
+        (tracealg.STAR, (tr("00", "01"),), CEDE),
+        (HOLD, (tr("00", "01"),), tracealg.STAR),
+        (HOLD, (), CEDE),
+    ],
+)
+def test_trace_refuses_bad_sorts_and_empty_steps(start, steps, value_sort):
+    with pytest.raises(ValueError):
+        Trace(start, steps, value_sort, "v")
+
+
+@pytest.mark.parametrize("copier", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy])
+def test_trace_round_trips_through_pickle_and_copy(copier):
+    back = copier(PINNED)
+    assert type(back) is Trace
+    assert back == PINNED and hash(back) == hash(PINNED)
+    assert back.start is CEDE and back.value_sort is HOLD
+
+
+def test_equal_traces_built_separately_hash_alike():
+    again = Trace(CEDE, (tr("10", "00"), tr("00", "10")), HOLD, "x")
+    assert again is not PINNED
+    assert again == PINNED and hash(again) == hash(PINNED)
+    assert len({again, PINNED}) == 1
+    assert again != mk(CEDE, [("10", "00"), ("00", "10")], CEDE, "x")
+
+
+def test_trace_render_and_key_are_pinned():
+    assert PINNED.render() == "∘ [ (10,00) (00,10) ] • x"
+    assert PINNED.key() == (2, 1, (((1, 0), (0, 0)), ((0, 0), (1, 0))), 0, "x")
+    assert (PINNED.start, PINNED.steps, PINNED.value_sort, PINNED.value) == (
+        CEDE, (tr("10", "00"), tr("00", "10")), HOLD, "x"
+    )
+
+
+def test_trace_has_no_unchecked_constructors():
+    for name in ("_replace", "_make"):
+        assert not hasattr(Trace, name)
+    with pytest.raises(AttributeError):
+        PINNED.value = "y"
 
 
 # ---------------------------------------------------------------------------
