@@ -2,16 +2,19 @@
 
 Equality and refinement in each theory are decided by evaluating both terms
 in the theory's free model with the returning environment and comparing the
-results; refinement is inclusion.  Axiom validation instead samples random
+results; refinement is inclusion.  ``FREE_MODELS`` says which free model
+reads each theory and through which translation.  ``denote`` covers S, Tr,
+B, G and Tgs; J and V have no trace model.  Axiom validation samples random
 model elements for the variables: the mathematics guarantees the axioms, so
 these suites guard the implementation of the models.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .kernel import (
     CEDE,
@@ -44,7 +47,7 @@ from .theories import (
     AxiomInstance,
     Bounds,
     Presentation,
-    TranslatedAlgebra,
+    Translation,
     UnknownTheory,
     apply_translation,
     build,
@@ -143,24 +146,54 @@ def _space(space: StoreSpace | None) -> StoreSpace:
     return space or StoreSpace()
 
 
+# Each theory is read in the free model of a base theory (J, V, G, S or B),
+# directly or through the built-in translation named here.  Entries are names,
+# not functions, so that the traced benchmark's rebinding reaches every call.
+FREE_MODELS: dict[str, tuple[str, str | None]] = {
+    "J": ("J", None),
+    "V": ("V", None),
+    "G": ("G", None),
+    "S": ("S", None),
+    "B": ("B", None),
+    "Tgs": ("G", "E_G"),
+    "Tr": ("S", "E_TrS"),
+}
+
+# The base models whose elements read as closed trace sets.
+TRACE_MODELS = frozenset({"S", "B", "G"})
+
+
+def _free_model(theory: str, space: StoreSpace) -> tuple[str, Translation | None]:
+    """The base theory that reads ``theory`` and the translation into it."""
+    if theory not in FREE_MODELS:
+        raise UnknownTheory(f"unknown theory {theory!r}; expected one of {tuple(FREE_MODELS)}")
+    base, via = FREE_MODELS[theory]
+    return base, builtin_translations(space)[via] if via else None
+
+
 def denote(theory: str, ctx: Mapping[str, Sort], t: Term, space: StoreSpace | None = None) -> TraceSet:
-    """Evaluate in the free trace model with the returning environment."""
+    """Evaluate in the theory's free model with the returning environment."""
     space = _space(space)
-    if theory == "Tr":
-        trs = builtin_translations(space)["E_TrS"]
-        return denote("S", translate_context(trs, ctx), apply_translation(trs, t), space)
-    if theory != "S":
-        raise UnknownTheory(f"trace denotation covers S and Tr, not {theory!r}")
-    alg = TraceAlgebra(space)
-    env = {name: unit(space, sort, name) for name, sort in ctx.items()}
-    return canonicalize(evaluate(alg, env, t))
+    base, tr = _free_model(theory, space)
+    if base not in TRACE_MODELS:
+        raise UnknownTheory(f"theory {theory} has no trace model")
+    if tr is not None:
+        ctx, t = translate_context(tr, ctx), apply_translation(tr, t)
+    if base == "S":
+        env = {name: unit(space, sort, name) for name, sort in ctx.items()}
+        return canonicalize(evaluate(TraceAlgebra(space), env, t))
+    if base == "B":
+        alg = BrookesAlgebra(space)
+        return canonicalize(evaluate(alg, {name: alg.unit(name) for name in ctx}, t))
+    return gtable_to_traceset(space, denote_G(ctx, t, space))
+
+
+# The benchmark harness wraps and calls the trace denotation by this name.
+_denote_as_traces = denote
 
 
 def denote_B(ctx: Mapping[str, Sort], t: Term, space: StoreSpace | None = None) -> TraceSet:
-    space = _space(space)
-    alg = BrookesAlgebra(space)
-    env = {name: alg.unit(name) for name in ctx}
-    return canonicalize(evaluate(alg, env, t))
+    return denote("B", ctx, t, space)
 
 
 def denote_G(ctx: Mapping[str, Sort], t: Term, space: StoreSpace | None = None) -> GTable:
@@ -170,30 +203,13 @@ def denote_G(ctx: Mapping[str, Sort], t: Term, space: StoreSpace | None = None) 
     return evaluate(alg, env, t)
 
 
-def _denote_as_traces(
-    theory: str, ctx: Mapping[str, Sort], t: Term, space: StoreSpace
-) -> TraceSet:
-    if theory in ("S", "Tr"):
-        return denote(theory, ctx, t, space)
-    if theory == "B":
-        return denote_B(ctx, t, space)
-    if theory == "G":
-        return gtable_to_traceset(space, denote_G(ctx, t, space))
-    if theory == "Tgs":
-        eg = builtin_translations(space)["E_G"]
-        return gtable_to_traceset(
-            space, denote_G(translate_context(eg, ctx), apply_translation(eg, t), space)
-        )
-    raise UnknownTheory(f"no trace-backed decider for theory {theory!r}")
-
-
 def check_refines(
     theory: str, ctx: Mapping[str, Sort], t1: Term, t2: Term, space: StoreSpace | None = None
 ) -> Verdict:
     """Does every behaviour of ``t1`` belong to ``t2``?"""
     space = _space(space)
-    d1 = _denote_as_traces(theory, ctx, t1, space)
-    d2 = _denote_as_traces(theory, ctx, t2, space)
+    d1 = denote(theory, ctx, t1, space)
+    d2 = denote(theory, ctx, t2, space)
     witness = missing_witness(d1, d2)
     if witness is None:
         return Verdict(True)
@@ -204,8 +220,8 @@ def check_equal(
     theory: str, ctx: Mapping[str, Sort], t1: Term, t2: Term, space: StoreSpace | None = None
 ) -> Verdict:
     space = _space(space)
-    d1 = _denote_as_traces(theory, ctx, t1, space)
-    d2 = _denote_as_traces(theory, ctx, t2, space)
+    d1 = denote(theory, ctx, t1, space)
+    d2 = denote(theory, ctx, t2, space)
     witness = missing_witness(d1, d2)
     if witness is not None:
         return Verdict(False, witness, "lhs ⊄ rhs")
@@ -321,37 +337,6 @@ class SetAlgebra(Algebra):
 _VALUE_CTX = {"u": HOLD, "v": CEDE}
 
 
-def _instance_checker(
-    theory: str, space: StoreSpace, cfg: SampleConfig, rng: random.Random
-) -> tuple[Algebra, Callable[[Sort], object], Callable[[object, object], bool]]:
-    """The validating model for a theory: algebra, variable sampler, equality."""
-    if theory in ("J", "V"):
-        alg = SetAlgebra(build(theory, space).signature)
-        pool = tuple(range(6))
-        sample = lambda sort: frozenset(rng.sample(pool, rng.randint(0, 3)))
-        return alg, sample, lambda a, b: a == b
-    if theory == "G":
-        alg = GTableAlgebra(space)
-        sample = lambda sort: random_gtable(space, ("u", "v"), rng)
-        return alg, sample, lambda a, b: a == b
-    if theory == "Tgs":
-        alg = TranslatedAlgebra(builtin_translations(space)["E_G"], GTableAlgebra(space))
-        sample = lambda sort: random_gtable(space, ("u", "v"), rng)
-        return alg, sample, lambda a, b: a == b
-    if theory == "B":
-        alg = BrookesAlgebra(space)
-        sample = lambda sort: random_brookes_set(space, ("u", "v"), cfg, rng)
-        return alg, sample, equal
-    if theory in ("S", "Tr"):
-        base = TraceAlgebra(space)
-        alg = base if theory == "S" else TranslatedAlgebra(
-            builtin_translations(space)["E_TrS"], base
-        )
-        sample = lambda sort: random_closed_set(space, sort, _VALUE_CTX, cfg, rng)
-        return alg, sample, equal
-    raise UnknownTheory(f"unknown theory {theory!r}")
-
-
 def _validate_instances(
     theory: str,
     instances: Sequence[AxiomInstance],
@@ -359,17 +344,34 @@ def _validate_instances(
     space: StoreSpace,
     title: str,
 ) -> Report:
+    """Evaluate each instance, translated once, in the free model on sampled variables."""
+    base, tr = _free_model(theory, space)
     rng = random.Random(cfg.seed)
-    alg, sample, eq = _instance_checker(theory, space, cfg, rng)
+    if base in ("J", "V"):
+        alg = SetAlgebra(build(base, space).signature)
+        pool = tuple(range(6))
+        sample = lambda sort: frozenset(rng.sample(pool, rng.randint(0, 3)))
+    elif base == "G":
+        alg = GTableAlgebra(space)
+        sample = lambda sort: random_gtable(space, ("u", "v"), rng)
+    elif base == "B":
+        alg = BrookesAlgebra(space)
+        sample = lambda sort: random_brookes_set(space, ("u", "v"), cfg, rng)
+    else:
+        alg = TraceAlgebra(space)
+        sample = lambda sort: random_closed_set(space, sort, _VALUE_CTX, cfg, rng)
+    same = equal if base in ("S", "B") else operator.eq
     report = Report(title)
     for idx, inst in enumerate(instances):
+        ctx, lhs, rhs = inst.context, inst.lhs, inst.rhs
+        if tr is not None:
+            ctx = translate_context(tr, ctx)
+            lhs, rhs = apply_translation(tr, lhs), apply_translation(tr, rhs)
         ok = True
         detail = ""
         for trial in range(cfg.samples):
-            env = {name: sample(sort) for name, sort in inst.ctx}
-            lhs = evaluate(alg, env, inst.lhs)
-            rhs = evaluate(alg, env, inst.rhs)
-            if not eq(lhs, rhs):
+            env = {name: sample(sort) for name, sort in ctx.items()}
+            if not same(evaluate(alg, env, lhs), evaluate(alg, env, rhs)):
                 ok = False
                 detail = f"instance {idx} fails on trial {trial}: env over {list(inst.context)}"
                 break
@@ -431,7 +433,7 @@ def cross_check_G(
 ) -> bool:
     """State-function semantics against the hold-sort trace semantics."""
     space = _space(space)
-    as_traces = gtable_to_traceset(space, denote_G(ctx, t, space))
+    as_traces = denote("G", ctx, t, space)
     e = builtin_translations(space)["E"]
     image = denote("S", translate_context(e, ctx), apply_translation(e, t), space)
     return equal(as_traces, image)

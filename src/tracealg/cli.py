@@ -1,6 +1,7 @@
 """Command-line front end: concrete term syntax and the checker commands.
 
-Term files declare a theory, optional locations, sorted variables, and named
+Term files declare a theory with a trace model (S, Tr, B, G or Tgs; the join
+theories J and V have none), optional locations, sorted variables, and named
 terms in a parenthesized prefix syntax::
 
     theory S
@@ -24,11 +25,12 @@ import sys
 from dataclasses import dataclass
 
 from .checker import (
+    FREE_MODELS,
+    TRACE_MODELS,
     SampleConfig,
-    _denote_as_traces,
     check_equal,
     check_refines,
-    denote_B,
+    denote,
     run_nogo2,
     run_nogo3,
     validate_axioms,
@@ -177,7 +179,7 @@ def parse_file(path: str) -> TermFile:
 
     theory_name: str | None = None
     locations: tuple[str, ...] | None = None
-    locs_line = 1
+    theory_line = locs_line = 1
     var_lines: list[tuple[int, str, str]] = []
     def_lines: list[tuple[int, str, list[tuple[str, int]]]] = []
 
@@ -190,10 +192,14 @@ def parse_file(path: str) -> TermFile:
         if head == "theory":
             if len(words) != 2:
                 raise ParseError("usage: theory NAME", lno, 1)
-            theory_name = words[1]
+            if theory_name is not None:
+                raise ParseError("'theory' directive given twice", lno, 1)
+            theory_name, theory_line = words[1], lno
         elif head == "locs":
             if len(words) < 2:
                 raise ParseError("usage: locs NAME...", lno, 1)
+            if locations is not None:
+                raise ParseError("'locs' directive given twice", lno, 1)
             locations, locs_line = tuple(words[1:]), lno
             if len(set(locations)) != len(locations):
                 raise ParseError(f"duplicate location in {' '.join(locations)!r}", lno, 1)
@@ -213,8 +219,11 @@ def parse_file(path: str) -> TermFile:
 
     if theory_name is None:
         raise ParseError("missing 'theory' directive", 1, 1)
-    if theory_name not in THEORY_NAMES:
-        raise ParseError(f"unknown theory {theory_name!r}", 1, 1)
+    if theory_name not in FREE_MODELS:
+        raise ParseError(f"unknown theory {theory_name!r}", theory_line, 1)
+    if FREE_MODELS[theory_name][0] not in TRACE_MODELS:
+        message = f"theory {theory_name} has no trace model; use 'axioms --theory {theory_name}'"
+        raise ParseError(message, theory_line, 1)
     space = _space_from_locations(locations, locs_line)
     theory = build(theory_name, space)
 
@@ -326,7 +335,7 @@ def _lookup_terms(tf: TermFile, *names: str) -> list[Term]:
     out = []
     for name in names:
         if name not in tf.terms:
-            raise ParseError(f"no term named {name!r} in the file", 1, 1)
+            raise ValueError(f"no term named {name!r} in the file")
         out.append(tf.terms[name])
     return out
 
@@ -353,7 +362,7 @@ def cmd_refines(args: argparse.Namespace) -> int:
 def cmd_denote(args: argparse.Namespace) -> int:
     tf = parse_file(args.file)
     (term,) = _lookup_terms(tf, args.name)
-    _print_traceset(_denote_as_traces(tf.theory.name, tf.ctx, term, tf.space), args.json)
+    _print_traceset(denote(tf.theory.name, tf.ctx, term, tf.space), args.json)
     return 0
 
 
@@ -395,7 +404,7 @@ def cmd_par(args: argparse.Namespace) -> int:
     if tf.theory.name != "B":
         raise UnknownTheory("parallel composition works on B files")
     left, right = _lookup_terms(tf, args.left, args.right)
-    K = par(denote_B(tf.ctx, left, tf.space), denote_B(tf.ctx, right, tf.space))
+    K = par(denote("B", tf.ctx, left, tf.space), denote("B", tf.ctx, right, tf.space))
     _print_traceset(canonicalize(K), args.json)
     return 0
 

@@ -117,14 +117,20 @@ class Signature:
     sorts: frozenset[Sort]
     operators: Mapping[str, Operator]
     aliases: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    # The first join operator of each sort, derived from ``operators``.
+    _joins: Mapping[Sort, Operator] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        joins: dict[Sort, Operator] = {}
         for name, op in self.operators.items():
             if name != op.name:
                 raise ValueError(f"operator {op.name} keyed as {name}")
             mentioned = {op.result, *op.args}
             if not mentioned <= self.sorts:
                 raise ValueError(f"operator {name} mentions sorts outside the signature")
+            if op.kind == "join":
+                joins.setdefault(op.result, op)
+        object.__setattr__(self, "_joins", joins)
         for alias, names in self.aliases.items():
             for name in names:
                 if name not in self.operators:
@@ -138,10 +144,7 @@ class Signature:
         return ()
 
     def join_op(self, sort: Sort) -> Operator | None:
-        for op in self.operators.values():
-            if op.kind == "join" and op.result is sort:
-                return op
-        return None
+        return self._joins.get(sort)
 
 
 VarContext = Mapping[str, Sort]

@@ -27,7 +27,6 @@ from .kernel import (
     CEDE,
     HOLD,
     STAR,
-    Algebra,
     App,
     Operator,
     Signature,
@@ -38,7 +37,6 @@ from .kernel import (
     VarContext,
     app,
     bottom,
-    evaluate,
     join,
     substitute,
 )
@@ -694,20 +692,6 @@ def _builtin_cached(locations: tuple[str, ...]) -> dict[str, Translation]:
 def builtin_translations(space: StoreSpace | None = None) -> dict[str, Translation]:
     space = space or StoreSpace()
     return dict(_builtin_cached(space.locations))
-
-
-class TranslatedAlgebra(Algebra):
-    """View an algebra for the target signature through a translation."""
-
-    def __init__(self, translation: Translation, target: Algebra):
-        self.translation = translation
-        self.target = target
-        self.signature = translation.source.signature
-
-    def apply(self, op: Operator, args: tuple) -> object:
-        image = self.translation.image(op.name, len(args))
-        env = {f"x{i}": arg for i, arg in enumerate(args)}
-        return evaluate(self.target, env, image)
 
 
 # ---------------------------------------------------------------------------

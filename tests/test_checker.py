@@ -6,13 +6,20 @@ from tracealg import (
     CEDE,
     HOLD,
     STAR,
+    Algebra,
+    BrookesAlgebra,
+    GTableAlgebra,
     SampleConfig,
     StoreSpace,
     Trace,
     TraceAlgebra,
     Transition,
     Verdict,
+    apply_translation,
+    bottom,
     build,
+    builtin_translations,
+    canonicalize,
     check_equal,
     check_refines,
     check_representation,
@@ -22,9 +29,13 @@ from tracealg import (
     denote,
     denote_B,
     denote_G,
+    distributivity_instances,
     equal,
     evaluate,
+    gtable_to_traceset,
+    instantiate_axioms,
     member,
+    random_brookes_set,
     random_closed_set,
     random_term,
     run_nogo2,
@@ -36,8 +47,16 @@ from tracealg import (
     validate_distributivity,
     validate_translation,
 )
-from tracealg.checker import _validate_instances
-from tracealg.theories import AxiomInstance, Bounds, encode_inequation
+from tracealg.checker import FREE_MODELS, Report, SetAlgebra, _validate_instances, random_gtable
+from tracealg.model import variable_gtable
+from tracealg.theories import (
+    THEORY_NAMES,
+    AxiomInstance,
+    Bounds,
+    UnknownTheory,
+    encode_inequation,
+    translate_context,
+)
 from tracealg.kernel import Var, app
 
 SP = StoreSpace()
@@ -352,3 +371,154 @@ def test_random_closed_set_invariants():
         for g in K.generators:
             assert g.steps
             assert g.start is CEDE
+
+
+# ---------------------------------------------------------------------------
+# The theory table against the per-theory dispatch it replaced
+
+
+class TranslatedAlgebra(Algebra):
+    """View an algebra for the target signature through a translation."""
+
+    def __init__(self, translation, target):
+        self.translation = translation
+        self.target = target
+        self.signature = translation.source.signature
+
+    def apply(self, op, args):
+        image = self.translation.image(op.name, len(args))
+        env = {f"x{i}": arg for i, arg in enumerate(args)}
+        return evaluate(self.target, env, image)
+
+
+def denote_reference(theory, ctx, t, space):
+    """Trace denotation by one hand-written branch per theory."""
+    if theory == "Tr":
+        trs = builtin_translations(space)["E_TrS"]
+        return denote_reference("S", translate_context(trs, ctx), apply_translation(trs, t), space)
+    if theory == "S":
+        env = {name: unit(space, sort, name) for name, sort in ctx.items()}
+        return canonicalize(evaluate(TraceAlgebra(space), env, t))
+    if theory == "B":
+        alg = BrookesAlgebra(space)
+        return canonicalize(evaluate(alg, {name: alg.unit(name) for name in ctx}, t))
+    if theory == "G":
+        env = {name: variable_gtable(space, name) for name in ctx}
+        return gtable_to_traceset(space, evaluate(GTableAlgebra(space), env, t))
+    if theory == "Tgs":
+        eg = builtin_translations(space)["E_G"]
+        return denote_reference("G", translate_context(eg, ctx), apply_translation(eg, t), space)
+    raise AssertionError(theory)
+
+
+def instance_checker_reference(theory, space, cfg, rng):
+    """The validating model per theory; Tr and Tgs through ``TranslatedAlgebra``."""
+    if theory in ("J", "V"):
+        alg = SetAlgebra(build(theory, space).signature)
+        pool = tuple(range(6))
+        sample = lambda sort: frozenset(rng.sample(pool, rng.randint(0, 3)))
+        return alg, sample, lambda a, b: a == b
+    if theory == "G":
+        alg = GTableAlgebra(space)
+        sample = lambda sort: random_gtable(space, ("u", "v"), rng)
+        return alg, sample, lambda a, b: a == b
+    if theory == "Tgs":
+        alg = TranslatedAlgebra(builtin_translations(space)["E_G"], GTableAlgebra(space))
+        sample = lambda sort: random_gtable(space, ("u", "v"), rng)
+        return alg, sample, lambda a, b: a == b
+    if theory == "B":
+        alg = BrookesAlgebra(space)
+        sample = lambda sort: random_brookes_set(space, ("u", "v"), cfg, rng)
+        return alg, sample, equal
+    if theory in ("S", "Tr"):
+        base = TraceAlgebra(space)
+        alg = base if theory == "S" else TranslatedAlgebra(
+            builtin_translations(space)["E_TrS"], base
+        )
+        sample = lambda sort: random_closed_set(space, sort, {"u": HOLD, "v": CEDE}, cfg, rng)
+        return alg, sample, equal
+    raise AssertionError(theory)
+
+
+def validate_reference(theory, instances, cfg, space, title):
+    rng = random.Random(cfg.seed)
+    alg, sample, eq = instance_checker_reference(theory, space, cfg, rng)
+    report = Report(title)
+    for idx, inst in enumerate(instances):
+        ok = True
+        detail = ""
+        for trial in range(cfg.samples):
+            env = {name: sample(sort) for name, sort in inst.ctx}
+            if not eq(evaluate(alg, env, inst.lhs), evaluate(alg, env, inst.rhs)):
+                ok = False
+                detail = f"instance {idx} fails on trial {trial}: env over {list(inst.context)}"
+                break
+        report.add(inst.scheme, ok, detail)
+    return report
+
+
+SPACES = [StoreSpace(("x",)), StoreSpace(("x", "y"))]
+
+
+def _random_context(theory):
+    if theory in ("S", "Tr"):
+        return {"a": HOLD, "b": CEDE}, (HOLD, CEDE)
+    return {"a": STAR, "b": STAR}, (STAR,)
+
+
+def test_free_models_name_every_theory():
+    assert tuple(FREE_MODELS) == THEORY_NAMES
+    # the join theories have no trace model, and unknown names no model at all
+    for theory in ("J", "V", "Q"):
+        with pytest.raises(UnknownTheory):
+            denote(theory, {"a": STAR}, Var("a", STAR), SP)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda sp: f"{len(sp.locations)}loc")
+@pytest.mark.parametrize("theory", ["S", "Tr", "B", "G", "Tgs"])
+def test_denote_listings_match_reference(theory, space):
+    p = build(theory, space)
+    ctx, sorts = _random_context(theory)
+    rng = random.Random(f"denote-{theory}-{len(space.locations)}")
+    for i in range(60):
+        t = random_term(p, ctx, sorts[i % len(sorts)], 3 + i % 2, rng)
+        got = [g.render() for g in denote(theory, ctx, t, space).ordered()]
+        assert got == [g.render() for g in denote_reference(theory, ctx, t, space).ordered()], i
+
+
+def _instances_with_mutants(p):
+    # the axioms, their distributivity, and each axiom's lhs set against
+    # bottom, so that reports carry failing rows and their trial numbers
+    axioms = instantiate_axioms(p, SMALL)
+    mutants = [
+        AxiomInstance(f"mutant:{inst.scheme}", inst.ctx, inst.lhs, bottom(p.signature, inst.lhs.sort))
+        for inst in axioms
+    ]
+    return axioms + distributivity_instances(p, SMALL) + mutants
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda sp: f"{len(sp.locations)}loc")
+@pytest.mark.parametrize("theory", THEORY_NAMES)
+def test_validation_reports_match_reference(theory, space):
+    instances = _instances_with_mutants(build(theory, space))
+    cfg = SampleConfig(seed=6, samples=5)
+    got = _validate_instances(theory, instances, cfg, space, theory)
+    want = validate_reference(theory, instances, cfg, space, theory)
+    assert got.rows == want.rows
+    assert got.format() == want.format()
+    assert not got.passed and any(row.ok for row in got.rows)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda sp: f"{len(sp.locations)}loc")
+@pytest.mark.parametrize("theory", ["Tr", "Tgs"])
+def test_translated_instances_evaluate_to_equal_values(theory, space):
+    base, via = FREE_MODELS[theory]
+    tr = builtin_translations(space)[via]
+    rng = random.Random(f"values-{theory}")
+    alg, sample, _eq = instance_checker_reference(base, space, SampleConfig(), rng)
+    view = TranslatedAlgebra(tr, alg)
+    for inst in _instances_with_mutants(build(theory, space)):
+        for _ in range(3):
+            env = {name: sample(tr.sort_map[sort]) for name, sort in inst.ctx}
+            for t in (inst.lhs, inst.rhs):
+                assert evaluate(view, env, t) == evaluate(alg, env, apply_translation(tr, t))

@@ -103,6 +103,32 @@ def test_parse_error_names_the_directive_line(tmp_path, capsys, text, line):
     assert capsys.readouterr().err.startswith(f"error: {line}:")
 
 
+@pytest.mark.parametrize(
+    "text, stderr",
+    [
+        ("# no such theory\ntheory Q\nvar a : star\ndef t = a\n", "2:1: unknown theory 'Q'"),
+        (
+            "# join semilattices\ntheory J\nvar a : star\ndef t = (or a a)\n",
+            "2:1: theory J has no trace model; use 'axioms --theory J'",
+        ),
+        (
+            "theory V\nvar a : star\ndef t = (or a)\n",
+            "1:1: theory V has no trace model; use 'axioms --theory V'",
+        ),
+        ("theory S\nlocs x y\ntheory B\ndef t = bot\n", "3:1: 'theory' directive given twice"),
+        ("theory S\nlocs x y\nvar v : cede\nlocs x\n", "4:1: 'locs' directive given twice"),
+    ],
+)
+def test_theory_and_locs_errors_name_their_line(tmp_path, capsys, text, stderr):
+    path = tmp_path / "bad.talg"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        parse_file(str(path))
+    assert f"{err.value.line}:{err.value.col}: " == stderr.split(" ", 1)[0] + " "
+    assert main(["denote", str(path), "t"]) == 2
+    assert capsys.readouterr().err == f"error: {stderr}\n"
+
+
 def test_parse_rejects_unknown_directive(tmp_path):
     path = tmp_path / "bad.talg"
     path.write_text("theory S\nfrobnicate\n")
@@ -127,8 +153,9 @@ def test_refines_exit_codes_and_witness(ex17, capsys):
 
 
 def test_error_exit_code_on_missing_name(ex17, capsys):
+    # the name comes from the command line, so the error has no file position
     assert main(["eq", ex17, "nope", "irie_rhs"]) == 2
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: no term named 'nope' in the file\n"
 
 
 def test_error_exit_code_on_missing_file(capsys):

@@ -184,3 +184,18 @@ def test_evaluation_is_homomorphic_on_samples(space, alg):
 def test_free_vars(shared):
     t = check_sort(shared.signature, {"x": CEDE, "y": CEDE}, ("lkp:y", ("rel", "x"), ("rel", "y")))
     assert free_vars(t) == {"x": CEDE, "y": CEDE}
+
+
+def test_join_op_table_matches_an_operator_scan():
+    from tracealg import Operator, Signature
+    from tracealg.theories import THEORY_NAMES
+
+    for name in THEORY_NAMES:
+        sig = build(name).signature
+        for sort in (HOLD, CEDE, STAR):
+            scan = [op for op in sig.operators.values() if op.kind == "join" and op.result is sort]
+            assert sig.join_op(sort) == (scan[0] if scan else None)
+    # the derived table takes no part in equality or the repr
+    ops = {"or": Operator("or", STAR, (STAR,), variadic=True, kind="join")}
+    one, two = Signature(frozenset({STAR}), ops), Signature(frozenset({STAR}), dict(ops))
+    assert one == two and "_joins" not in repr(one)
