@@ -94,11 +94,10 @@ class SampleConfig:
     samples: int = 100
     gens: tuple[int, int] = (0, 3)
     length: tuple[int, int] = (1, 2)
-    context_size: int = 2
 
     def __post_init__(self) -> None:
-        if self.samples < 1 or self.context_size < 1:
-            raise ValueError("samples and context_size must be positive")
+        if self.samples < 1:
+            raise ValueError("samples must be positive")
         if self.gens[0] < 0 or self.length[0] < 1:
             raise ValueError("generator counts start at zero, lengths at one")
 

@@ -41,7 +41,6 @@ from .traces import (
     closure_bounded,
     member,
     sorted_set,
-    _space_for,
 )
 
 # Acquire canonicalizes results with more generators than this.
@@ -145,7 +144,13 @@ class TraceAlgebra(Algebra):
     def transition(self, pre: Store, post: Store, K: TraceSet) -> TraceSet:
         """Assert the store is ``pre`` and move it to ``post``; used by the
         two-sorted transition signature, and agrees with translating the
-        transition into assert/update blocks."""
+        transition into assert/update blocks.
+
+        Works on generators: the first transition of a hold-sorted trace
+        keeps its source store under all sorted deductions, so rewriting the
+        first transition of each matching generator computes the image of
+        the closure.
+        """
         self._expect(K, HOLD)
         gens = set()
         for g in K.generators:
@@ -326,12 +331,11 @@ def par(K1: TraceSet, K2: TraceSet, pairing: Callable[[str, str], str] | None = 
 # Yield interpretations, the uniform-stutter rule, and cell-change witnesses
 
 
-def yield1(K: TraceSet, space: StoreSpace | None = None) -> TraceSet:
+def yield1(K: TraceSet, space: StoreSpace) -> TraceSet:
     """Prefix every behaviour with an environment step (closure implicit)."""
     BrookesAlgebra._expect(K)
     if K.is_empty():
         return K
-    space = space or _space_for(K.generators)
     gens = set()
     for step in space.stutters:
         for g in K.generators:
@@ -339,13 +343,13 @@ def yield1(K: TraceSet, space: StoreSpace | None = None) -> TraceSet:
     return brookes_set(gens)
 
 
-def yield2(K: TraceSet, space: StoreSpace | None = None) -> TraceSet:
+def yield2(K: TraceSet, space: StoreSpace) -> TraceSet:
     """Possibly yield: the original behaviours stay available."""
     pre = yield1(K, space)
     return brookes_set(K.generators | pre.generators)
 
 
-def single_cell_witness(K: TraceSet, space: StoreSpace | None = None) -> bool:
+def single_cell_witness(K: TraceSet, space: StoreSpace) -> bool:
     """Does the closure contain a trace whose every transition changes at
     most one location?
 
@@ -362,15 +366,12 @@ def single_cell_witness(K: TraceSet, space: StoreSpace | None = None) -> bool:
         return False
     if any(qualifies(g) for g in K.generators):
         return True
-    space = space or _space_for(K.generators)
     longest = max(len(g.steps) for g in K.generators)
     closure = closure_bounded(K.generators, SORTED, space, longest, slack=0)
     return any(qualifies(t) for t in closure)
 
 
-def hush_step(
-    K: TraceSet, space: StoreSpace | None = None, max_len: int | None = None
-) -> frozenset[Trace]:
+def hush_step(K: TraceSet, space: StoreSpace) -> frozenset[Trace]:
     """Conclusions of the uniform-stutter deletion rule on a bounded closure.
 
     A stutter position may be deleted (leaving a non-empty remainder) when
@@ -379,9 +380,7 @@ def hush_step(
     """
     if K.is_empty():
         return frozenset()
-    space = space or _space_for(K.generators)
-    if max_len is None:
-        max_len = max(len(g.steps) for g in K.generators) + 1
+    max_len = max(len(g.steps) for g in K.generators) + 1
     out: set[Trace] = set()
     for t in closure_bounded(K.generators, SORTED, space, max_len):
         if len(t.steps) < 2:

@@ -13,15 +13,22 @@ Seven presentations are provided, keyed by short names:
 
 Axiom schemes are generators, not pre-expanded lists: store-indexed schemes
 grow with ``2^|locations|`` and join schemes with the arity bound, so
-instantiation takes explicit bounds.
+instantiation takes explicit bounds.  A scheme is a name and a function
+from bounds to its ``(context, lhs, rhs)`` rows.
+
+A translation lists only the operators it rewrites.  Every other operator
+follows one of two rules: a join maps to the target's join at the mapped
+sort, and any other operator maps to the target operator of the same name.
+So G ~> S lists nothing, and S ~> Tr and Tr ~> S list only their hold-sort
+state or transition operators.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .kernel import (
     CEDE,
@@ -83,10 +90,16 @@ class AxiomInstance:
         return dict(self.ctx)
 
 
+# One instance of a scheme: the variable context, then the two sides.
+Row = tuple[dict[str, Sort], Term, Term]
+
+
 @dataclass(frozen=True)
 class AxiomScheme:
+    """A named law; ``rows(bounds)`` yields its instances within the bounds."""
+
     name: str
-    instantiate: Callable[[Bounds], tuple[AxiomInstance, ...]] = field(compare=False)
+    rows: Callable[[Bounds], Iterable[Row]] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -96,15 +109,13 @@ class Presentation:
     signature: Signature
     schemes: tuple[AxiomScheme, ...] = field(compare=False)
 
-    def axiom_instances(self, bounds: Bounds = Bounds()) -> list[AxiomInstance]:
-        out: list[AxiomInstance] = []
-        for scheme in self.schemes:
-            out.extend(scheme.instantiate(bounds))
-        return out
-
 
 def instantiate_axioms(p: Presentation, bounds: Bounds = Bounds()) -> list[AxiomInstance]:
-    return p.axiom_instances(bounds)
+    return [
+        AxiomInstance(scheme.name, tuple(sorted(ctx.items())), lhs, rhs)
+        for scheme in p.schemes
+        for ctx, lhs, rhs in scheme.rows(bounds)
+    ]
 
 
 def encode_inequation(sig: Signature, l: Term, r: Term, direction: str) -> tuple[Term, Term]:
@@ -205,39 +216,29 @@ def open_transition_term(sig: Signature, space: StoreSpace, pre: Store, post: St
 # Axiom schemes
 
 
-def _instances(name: str, rows: Iterator[tuple[dict[str, Sort], Term, Term]]) -> tuple[AxiomInstance, ...]:
-    return tuple(
-        AxiomInstance(name, tuple(sorted(ctx.items())), lhs, rhs) for ctx, lhs, rhs in rows
-    )
+def _law(name: str, ctx: dict[str, Sort], lhs: Term, rhs: Term) -> AxiomScheme:
+    """A scheme with the same single row under every bound."""
+    return AxiomScheme(name, lambda bounds: [(ctx, lhs, rhs)])
 
 
-def _vars(sort: Sort, count: int, prefix: str = "x") -> list[Var]:
-    return [Var(f"{prefix}{i}", sort) for i in range(count)]
+def _vars(sort: Sort, count: int) -> list[Var]:
+    return [Var(f"x{i}", sort) for i in range(count)]
 
 
 def _semilattice_schemes(sig: Signature, sort: Sort) -> list[AxiomScheme]:
     x, y, z = Var("x", sort), Var("y", sort), Var("z", sort)
     j = lambda *ts: join(sig, sort, ts)
-    fixed = [
-        ("Associativity", {"x": sort, "y": sort, "z": sort}, j(x, j(y, z)), j(j(x, y), z)),
-        ("Commutativity", {"x": sort, "y": sort}, j(x, y), j(y, x)),
-        ("Idempotency", {"x": sort}, j(x, x), x),
-        ("Neutrality", {"x": sort}, j(x, bottom(sig, sort)), x),
-    ]
     return [
-        AxiomScheme(name, lambda bounds, row=(name, ctx, lhs, rhs): _instances(row[0], iter([row[1:]])))
-        for name, ctx, lhs, rhs in fixed
+        _law("Associativity", {"x": sort, "y": sort, "z": sort}, j(x, j(y, z)), j(j(x, y), z)),
+        _law("Commutativity", {"x": sort, "y": sort}, j(x, y), j(y, x)),
+        _law("Idempotency", {"x": sort}, j(x, x), x),
+        _law("Neutrality", {"x": sort}, j(x, bottom(sig, sort)), x),
     ]
 
 
 def _countable_join_schemes(sig: Signature, sort: Sort) -> list[AxiomScheme]:
-    def nd_return(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-        x = Var("x0", sort)
-        return _instances("ND-return", iter([({"x0": sort}, join(sig, sort, (x,)), x)]))
-
-    def nd_squash(bounds: Bounds) -> tuple[AxiomInstance, ...]:
+    def nd_squash(bounds: Bounds) -> Iterator[Row]:
         cap = bounds.max_squash
-        rows = []
         for alpha in range(cap + 1):
             for betas in itertools.product(range(cap + 1), repeat=alpha):
                 pairs = [(i, j) for i in range(alpha) for j in range(betas[i])]
@@ -259,116 +260,76 @@ def _countable_join_schemes(sig: Signature, sort: Sort) -> list[AxiomScheme]:
                             sort,
                             tuple(Var(f"x{pairs[k][0]}_{pairs[k][1]}", sort) for k in f),
                         )
-                        rows.append((ctx, lhs, rhs))
-        return _instances("ND-squash", iter(rows))
+                        yield ctx, lhs, rhs
 
-    return [AxiomScheme("ND-return", nd_return), AxiomScheme("ND-squash", nd_squash)]
+    x = Var("x0", sort)
+    return [
+        _law("ND-return", {"x0": sort}, join(sig, sort, (x,)), x),
+        AxiomScheme("ND-squash", nd_squash),
+    ]
 
 
 def _nd_distribution_scheme(
-    sig: Signature, name: str, op_name: str, arg_sort: Sort, result_sort: Sort,
-    wrap: Callable[[Term], Term] | None = None,
+    sig: Signature, name: str, op_names: list[str], arg_sort: Sort, result_sort: Sort
 ) -> AxiomScheme:
-    """Scheme: the unary operator distributes over joins of every arity."""
-    apply_op = wrap or (lambda t: app(sig, op_name, t))
+    """Scheme: each unary operator distributes over joins of every arity."""
 
-    def instantiate(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-        rows = []
-        for alpha in range(bounds.max_join_arity + 1):
-            xs = _vars(arg_sort, alpha)
-            ctx = {v.name: arg_sort for v in xs}
-            lhs = join(sig, result_sort, tuple(apply_op(x) for x in xs))
-            rhs = apply_op(join(sig, arg_sort, tuple(xs)))
-            rows.append((ctx, lhs, rhs))
-        return _instances(name, iter(rows))
+    def rows(bounds: Bounds) -> Iterator[Row]:
+        for op_name in op_names:
+            for alpha in range(bounds.max_join_arity + 1):
+                xs = _vars(arg_sort, alpha)
+                lhs = join(sig, result_sort, tuple(app(sig, op_name, x) for x in xs))
+                rhs = app(sig, op_name, join(sig, arg_sort, tuple(xs)))
+                yield {v.name: arg_sort for v in xs}, lhs, rhs
 
-    return AxiomScheme(name, instantiate)
+    return AxiomScheme(name, rows)
 
 
 def _global_state_schemes(sig: Signature, space: StoreSpace, sort: Sort) -> list[AxiomScheme]:
     locs = range(len(space.locations))
     upd = lambda l, b, t: app(sig, update_name(space, l, b), t)
     lkp = lambda l, t0, t1: app(sig, lookup_name(space, l), t0, t1)
+    x, x0, x1 = Var("x", sort), Var("x0", sort), Var("x1", sort)
 
-    def ul(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-        rows = []
+    def ul(bounds: Bounds) -> Iterator[Row]:
         for l in locs:
             for b in (0, 1):
-                x0, x1 = Var("x0", sort), Var("x1", sort)
-                rows.append((
-                    {"x0": sort, "x1": sort},
-                    upd(l, b, lkp(l, x0, x1)),
-                    upd(l, b, (x0, x1)[b]),
-                ))
-        return _instances("UL", iter(rows))
+                yield {"x0": sort, "x1": sort}, upd(l, b, lkp(l, x0, x1)), upd(l, b, (x0, x1)[b])
 
-    def uu(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-        rows = []
-        x = Var("x", sort)
+    def uu(bounds: Bounds) -> Iterator[Row]:
         for l in locs:
             for b2 in (0, 1):
                 for b in (0, 1):
-                    rows.append(({"x": sort}, upd(l, b2, upd(l, b, x)), upd(l, b, x)))
-        return _instances("UU", iter(rows))
+                    yield {"x": sort}, upd(l, b2, upd(l, b, x)), upd(l, b, x)
 
-    def uuc(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-        rows = []
-        x = Var("x", sort)
+    def uuc(bounds: Bounds) -> Iterator[Row]:
         for l1, l2 in itertools.combinations(locs, 2):
             for b1 in (0, 1):
                 for b2 in (0, 1):
-                    rows.append((
-                        {"x": sort},
-                        upd(l1, b1, upd(l2, b2, x)),
-                        upd(l2, b2, upd(l1, b1, x)),
-                    ))
-        return _instances("UUC", iter(rows))
+                    yield {"x": sort}, upd(l1, b1, upd(l2, b2, x)), upd(l2, b2, upd(l1, b1, x))
 
-    def lu(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-        x = Var("x", sort)
-        rows = [({"x": sort}, lkp(l, upd(l, 0, x), upd(l, 1, x)), x) for l in locs]
-        return _instances("LU", iter(rows))
-
-    def nd_u(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-        rows = []
+    def lu(bounds: Bounds) -> Iterator[Row]:
         for l in locs:
-            for b in (0, 1):
-                for alpha in range(bounds.max_join_arity + 1):
-                    xs = _vars(sort, alpha)
-                    ctx = {v.name: sort for v in xs}
-                    lhs = join(sig, sort, tuple(upd(l, b, x) for x in xs))
-                    rhs = upd(l, b, join(sig, sort, tuple(xs)))
-                    rows.append((ctx, lhs, rhs))
-        return _instances("ND-U", iter(rows))
+            yield {"x": sort}, lkp(l, upd(l, 0, x), upd(l, 1, x)), x
 
+    updates = [update_name(space, l, b) for l in locs for b in (0, 1)]
     return [
         AxiomScheme("UL", ul),
         AxiomScheme("UU", uu),
         AxiomScheme("UUC", uuc),
         AxiomScheme("LU", lu),
-        AxiomScheme("ND-U", nd_u),
+        _nd_distribution_scheme(sig, "ND-U", updates, sort, sort),
     ]
 
 
 def _closure_pair_schemes(sig: Signature) -> list[AxiomScheme]:
-    def empty(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-        y = Var("y", CEDE)
-        return _instances(
-            "Empty", iter([({"y": CEDE}, app(sig, "acq", app(sig, "rel", y)), y)])
-        )
-
-    def fuse(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-        x = Var("x", HOLD)
-        lhs, rhs = encode_inequation(
-            sig, app(sig, "rel", app(sig, "acq", x)), x, "ge"
-        )
-        return _instances("Fuse", iter([({"x": HOLD}, lhs, rhs)]))
-
+    x, y = Var("x", HOLD), Var("y", CEDE)
+    fuse = encode_inequation(sig, app(sig, "rel", app(sig, "acq", x)), x, "ge")
     return [
-        _nd_distribution_scheme(sig, "ND-◁", "acq", HOLD, CEDE),
-        _nd_distribution_scheme(sig, "ND-▷", "rel", CEDE, HOLD),
-        AxiomScheme("Empty", empty),
-        AxiomScheme("Fuse", fuse),
+        _nd_distribution_scheme(sig, "ND-◁", ["acq"], HOLD, CEDE),
+        _nd_distribution_scheme(sig, "ND-▷", ["rel"], CEDE, HOLD),
+        _law("Empty", {"y": CEDE}, app(sig, "acq", app(sig, "rel", y)), y),
+        _law("Fuse", {"x": HOLD}, *fuse),
     ]
 
 
@@ -381,62 +342,49 @@ def _transition_schemes(
     stores = space.stores
     x = Var("x", sort)
     ctx = {"x": sort}
+    all_stutters = join(sig, sort, tuple(tr(s, s, x) for s in stores))
 
-    def nd_tr(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-        name = "ND-B" if closing else "ND-T"
-        rows = []
+    # Unlike ND-U, the join sits inside on the left.
+    def nd_tr(bounds: Bounds) -> Iterator[Row]:
         for pre in stores:
             for post in stores:
                 for alpha in range(bounds.max_join_arity + 1):
                     xs = _vars(sort, alpha)
-                    vctx = {v.name: sort for v in xs}
                     lhs = tr(pre, post, join(sig, sort, tuple(xs)))
                     rhs = join(sig, sort, tuple(tr(pre, post, v) for v in xs))
-                    rows.append((vctx, lhs, rhs))
-        return _instances(name, iter(rows))
+                    yield {v.name: sort for v in xs}, lhs, rhs
 
     if closing:
-        def mumble(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-            rows = []
+        def mumble(bounds: Bounds) -> Iterator[Row]:
             for s, r, t in itertools.product(stores, repeat=3):
-                lhs, rhs = encode_inequation(sig, tr(s, r, tr(r, t, x)), tr(s, t, x), "ge")
-                rows.append((ctx, lhs, rhs))
-            return _instances("M", iter(rows))
+                yield ctx, *encode_inequation(sig, tr(s, r, tr(r, t, x)), tr(s, t, x), "ge")
 
-        def stutter(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-            rows = []
+        def stutter(bounds: Bounds) -> Iterator[Row]:
             for s in stores:
-                lhs, rhs = encode_inequation(sig, x, tr(s, s, x), "ge")
-                rows.append((ctx, lhs, rhs))
-            return _instances("S", iter(rows))
+                yield ctx, *encode_inequation(sig, x, tr(s, s, x), "ge")
 
-        def hoover(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-            big = join(sig, sort, tuple(tr(s, s, x) for s in stores))
-            lhs, rhs = encode_inequation(sig, big, x, "ge")
-            return _instances("H", iter([(ctx, lhs, rhs)]))
+        return [
+            AxiomScheme("ND-B", nd_tr),
+            AxiomScheme("M", mumble),
+            AxiomScheme("S", stutter),
+            _law("H", ctx, *encode_inequation(sig, all_stutters, x, "ge")),
+        ]
 
-        return [AxiomScheme("ND-B", nd_tr), AxiomScheme("M", mumble),
-                AxiomScheme("S", stutter), AxiomScheme("H", hoover)]
-
-    def seq_eq(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-        rows = []
+    def seq_eq(bounds: Bounds) -> Iterator[Row]:
         for s, r, t in itertools.product(stores, repeat=3):
-            rows.append((ctx, tr(s, r, tr(r, t, x)), tr(s, t, x)))
-        return _instances("Seq=", iter(rows))
+            yield ctx, tr(s, r, tr(r, t, x)), tr(s, t, x)
 
-    def seq_neq(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-        rows = []
+    def seq_neq(bounds: Bounds) -> Iterator[Row]:
         for s, r, m, t in itertools.product(stores, repeat=4):
             if r != m:
-                rows.append((ctx, tr(s, r, tr(m, t, x)), bottom(sig, sort)))
-        return _instances("Seq≠", iter(rows))
+                yield ctx, tr(s, r, tr(m, t, x)), bottom(sig, sort)
 
-    def hs(bounds: Bounds) -> tuple[AxiomInstance, ...]:
-        big = join(sig, sort, tuple(tr(s, s, x) for s in stores))
-        return _instances("HS", iter([(ctx, x, big)]))
-
-    return [AxiomScheme("ND-T", nd_tr), AxiomScheme("Seq=", seq_eq),
-            AxiomScheme("Seq≠", seq_neq), AxiomScheme("HS", hs)]
+    return [
+        AxiomScheme("ND-T", nd_tr),
+        AxiomScheme("Seq=", seq_eq),
+        AxiomScheme("Seq≠", seq_neq),
+        _law("HS", ctx, x, all_stutters),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -496,27 +444,40 @@ def build(name: str, space: StoreSpace | None = None) -> Presentation:
 # ---------------------------------------------------------------------------
 # Translations
 
-OpImage = Union[Term, Callable[[int], Term]]
-
 
 @dataclass(frozen=True)
 class Translation:
     """Maps each source operator to a target term over variables x0, x1, ...
 
-    Variadic operators map through a function of the concrete arity.  The
-    soundness condition (every source axiom translates to a target-provable
-    equation) is checked downstream by the denotational deciders, not here.
+    ``op_images`` lists only the operators the translation rewrites.  Two
+    rules give the rest: an unlisted join maps to the target's join at the
+    mapped sort, and any other unlisted operator maps to the target operator
+    of the same name.  The soundness condition (every source axiom
+    translates to a target-provable equation) is checked downstream by the
+    denotational deciders, not here.
     """
 
     name: str
     source: Presentation
     target: Presentation
     sort_map: Mapping[Sort, Sort]
-    op_images: Mapping[str, OpImage] = field(compare=False)
+    op_images: Mapping[str, Term] = field(compare=False)
 
     def image(self, op_name: str, arity: int) -> Term:
-        img = self.op_images[op_name]
-        return img(arity) if callable(img) else img
+        """The target term for ``op_name`` at ``arity`` over x0, x1, ..."""
+        if op_name in self.op_images:
+            return self.op_images[op_name]
+        scheme = self.source.signature.operators[op_name].scheme(arity)
+        return self._unlisted(
+            op_name, tuple(Var(f"x{i}", self.sort_map[s]) for i, s in enumerate(scheme))
+        )
+
+    def _unlisted(self, op_name: str, args: tuple[Term, ...]) -> App:
+        """An unlisted operator's image applied to translated arguments."""
+        op = self.source.signature.operators[op_name]
+        if op.kind == "join":
+            return join(self.target.signature, self.sort_map[op.result], args)
+        return app(self.target.signature, op_name, *args)
 
 
 def apply_translation(tr: Translation, t: Term) -> Term:
@@ -530,8 +491,11 @@ def apply_translation(tr: Translation, t: Term) -> Term:
             out: Term = Var(node.name, tr.sort_map[node.sort])
         else:
             translated = tuple(walk(a) for a in node.args)
-            image = tr.image(node.op, len(node.args))
-            out = substitute(image, {f"x{i}": arg for i, arg in enumerate(translated)})
+            image = tr.op_images.get(node.op)
+            if image is None:
+                out = tr._unlisted(node.op, translated)
+            else:
+                out = substitute(image, {f"x{i}": arg for i, arg in enumerate(translated)})
         memo[id(node)] = out
         return out
 
@@ -549,12 +513,11 @@ def compose(first: Translation, second: Translation) -> Translation:
             f"cannot compose {first.name} (into {first.target.name}) with "
             f"{second.name} (from {second.source.name})"
         )
-    images: dict[str, OpImage] = {}
-    for op_name, img in first.op_images.items():
-        if callable(img):
-            images[op_name] = lambda n, img=img: apply_translation(second, img(n))
-        else:
-            images[op_name] = apply_translation(second, img)
+    images = {
+        name: apply_translation(second, first.image(name, len(op.args)))
+        for name, op in first.source.signature.operators.items()
+        if op.kind != "join"
+    }
     sort_map = {s: second.sort_map[t] for s, t in first.sort_map.items()}
     return Translation(
         f"{first.name};{second.name}", first.source, second.target, sort_map, images
@@ -562,130 +525,56 @@ def compose(first: Translation, second: Translation) -> Translation:
 
 
 def identity_translation(p: Presentation) -> Translation:
-    images: dict[str, OpImage] = {}
-    for name, op in p.signature.operators.items():
-        if op.variadic:
-            images[name] = lambda n, name=name, op=op: App(
-                name, tuple(Var(f"x{i}", op.args[0]) for i in range(n)), op.result
-            )
-        else:
-            images[name] = App(
-                name, tuple(Var(f"x{i}", s) for i, s in enumerate(op.args)), op.result
-            )
-    return Translation(f"id_{p.name}", p, p, {s: s for s in p.signature.sorts}, images)
-
-
-def _join_image(sig: Signature, sort: Sort) -> Callable[[int], Term]:
-    return lambda n: join(sig, sort, tuple(Var(f"x{i}", sort) for i in range(n)))
+    return Translation(f"id_{p.name}", p, p, {s: s for s in p.signature.sorts}, {})
 
 
 @lru_cache(maxsize=None)
 def _builtin_cached(locations: tuple[str, ...]) -> dict[str, Translation]:
     space = StoreSpace(locations)
     g, s, b, tgs, tr = (build(n, space) for n in ("G", "S", "B", "Tgs", "Tr"))
-    locs = range(len(space.locations))
 
-    def state_images(target_sig: Signature, sort: Sort) -> dict[str, OpImage]:
-        imgs: dict[str, OpImage] = {}
-        for l in locs:
+    def state_to_transitions(target: Presentation, sort: Sort) -> dict[str, Term]:
+        sig = target.signature
+        x = (Var("x0", sort), Var("x1", sort))
+        imgs: dict[str, Term] = {}
+        for l in range(len(space.locations)):
             for bit in (0, 1):
-                imgs[update_name(space, l, bit)] = app(
-                    target_sig, update_name(space, l, bit), Var("x0", sort)
-                )
-            imgs[lookup_name(space, l)] = app(
-                target_sig, lookup_name(space, l), Var("x0", sort), Var("x1", sort)
-            )
+                imgs[update_name(space, l, bit)] = join(sig, sort, tuple(
+                    app(sig, transition_name(st, st.set(l, bit)), x[0]) for st in space.stores
+                ))
+            imgs[lookup_name(space, l)] = join(sig, sort, tuple(
+                app(sig, transition_name(st, st), x[st.get(l)]) for st in space.stores
+            ))
         return imgs
 
-    def state_to_transitions(target_sig: Signature, sort: Sort) -> dict[str, OpImage]:
-        imgs: dict[str, OpImage] = {}
-        for l in locs:
-            for bit in (0, 1):
-                imgs[update_name(space, l, bit)] = join(
-                    target_sig,
-                    sort,
-                    tuple(
-                        app(target_sig, transition_name(st, st.set(l, bit)), Var("x0", sort))
-                        for st in space.stores
-                    ),
-                )
-            imgs[lookup_name(space, l)] = join(
-                target_sig,
-                sort,
-                tuple(
-                    app(target_sig, transition_name(st, st), Var(f"x{st.get(l)}", sort))
-                    for st in space.stores
-                ),
-            )
-        return imgs
+    pairs = list(itertools.product(space.stores, repeat=2))
 
-    def transitions_to_open(target_sig: Signature, sort: Sort) -> dict[str, OpImage]:
+    def transitions_to_open(target: Presentation, sort: Sort) -> dict[str, Term]:
+        x0 = Var("x0", sort)
         return {
-            transition_name(pre, post): open_transition_term(
-                target_sig, space, pre, post, Var("x0", sort)
-            )
-            for pre in space.stores
-            for post in space.stores
+            transition_name(*p): open_transition_term(target.signature, space, *p, x0)
+            for p in pairs
         }
-
-    # G ~> S: the hold-sort copy.
-    e_gs = Translation(
-        "E", g, s, {STAR: HOLD},
-        {"or": _join_image(s.signature, HOLD), **state_images(s.signature, HOLD)},
-    )
-
-    # Tgs ~> G: transitions become assert-then-update blocks.
-    e_g = Translation(
-        "E_G", tgs, g, {STAR: STAR},
-        {"or": _join_image(g.signature, STAR), **transitions_to_open(g.signature, STAR)},
-    )
-
-    # G ~> Tgs: state operators become joins of transitions.
-    e_tgs = Translation(
-        "E_Tgs", g, tgs, {STAR: STAR},
-        {"or": _join_image(tgs.signature, STAR), **state_to_transitions(tgs.signature, STAR)},
-    )
 
     # B ~> Tr: delimit each transition by acquire/release.
-    e_tr_images: dict[str, OpImage] = {"or": _join_image(tr.signature, CEDE)}
-    for pre in space.stores:
-        for post in space.stores:
-            e_tr_images[transition_name(pre, post)] = app(
-                tr.signature,
-                "acq",
-                app(
-                    tr.signature,
-                    transition_name(pre, post),
-                    app(tr.signature, "rel", Var("x0", CEDE)),
-                ),
-            )
-    e_tr = Translation("E_Tr", b, tr, {STAR: CEDE}, e_tr_images)
-
-    # Tr ~> S and S ~> Tr: hold-sort operators translate as above, the
-    # cede-sort joins and the acquire/release pair map to themselves.
-    def shared_images(target: Presentation) -> dict[str, OpImage]:
-        return {
-            "or@hold": _join_image(target.signature, HOLD),
-            "or@cede": _join_image(target.signature, CEDE),
-            "acq": app(target.signature, "acq", Var("x0", HOLD)),
-            "rel": app(target.signature, "rel", Var("x0", CEDE)),
-        }
-
-    e_trs = Translation(
-        "E_TrS", tr, s, {HOLD: HOLD, CEDE: CEDE},
-        {**shared_images(s), **transitions_to_open(s.signature, HOLD)},
-    )
-    e_str = Translation(
-        "E_STr", s, tr, {HOLD: HOLD, CEDE: CEDE},
-        {**shared_images(tr), **state_to_transitions(tr.signature, HOLD)},
-    )
-
-    e_bs = compose(e_tr, e_trs)
-    e_bs = Translation("E_BS", b, s, e_bs.sort_map, e_bs.op_images)
-
+    sig, rel_x0 = tr.signature, app(tr.signature, "rel", Var("x0", CEDE))
+    e_tr = Translation("E_Tr", b, tr, {STAR: CEDE}, {
+        transition_name(*p): app(sig, "acq", app(sig, transition_name(*p), rel_x0)) for p in pairs
+    })
+    # Tr ~> S and S ~> Tr keep the joins and the acquire/release pair, and
+    # rewrite only the hold-sort operators.
+    e_trs = Translation("E_TrS", tr, s, {HOLD: HOLD, CEDE: CEDE}, transitions_to_open(s, HOLD))
     return {
-        "E": e_gs, "E_G": e_g, "E_Tgs": e_tgs, "E_Tr": e_tr,
-        "E_TrS": e_trs, "E_STr": e_str, "E_BS": e_bs,
+        # G ~> S: the hold-sort copy.
+        "E": Translation("E", g, s, {STAR: HOLD}, {}),
+        # Tgs ~> G: transitions become assert-then-update blocks.
+        "E_G": Translation("E_G", tgs, g, {STAR: STAR}, transitions_to_open(g, STAR)),
+        # G ~> Tgs: state operators become joins of transitions.
+        "E_Tgs": Translation("E_Tgs", g, tgs, {STAR: STAR}, state_to_transitions(tgs, STAR)),
+        "E_Tr": e_tr,
+        "E_TrS": e_trs,
+        "E_STr": Translation("E_STr", s, tr, {HOLD: HOLD, CEDE: CEDE}, state_to_transitions(tr, HOLD)),
+        "E_BS": replace(compose(e_tr, e_trs), name="E_BS"),
     }
 
 

@@ -373,20 +373,3 @@ def canonicalize(K: TraceSet) -> TraceSet:
             kept.extend(surviving)
     return TraceSet(K.sort, frozenset(kept))
 
-
-def prefix(sigma: Store, rho: Store, K: TraceSet) -> TraceSet:
-    """Prepend a transition relying on ``sigma`` to every trace relying on ``rho``.
-
-    Works on generators: the first transition of a hold-sorted trace keeps
-    its source store under all sorted deductions, so rewriting the first
-    transition of each matching generator computes the image of the closure.
-    """
-    if K.sort is not HOLD:
-        raise SortMismatch("prefixing applies to hold-sorted sets")
-    gens = set()
-    for g in K.generators:
-        first = g.steps[0]
-        if first.pre == rho:
-            steps = (Transition(sigma, first.post),) + g.steps[1:]
-            gens.add(Trace(HOLD, steps, g.value_sort, g.value))
-    return sorted_set(HOLD, gens)

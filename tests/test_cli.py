@@ -328,13 +328,16 @@ def test_denote_rejects_join_theory(tmp_path, capsys):
 def test_printer_parser_roundtrip_on_random_terms():
     import random
 
-    from tracealg import HOLD
+    from tracealg import HOLD, builtin_translations
     from tracealg.checker import random_term
+    from tracealg.theories import apply_translation, translate_context
 
+    translations = builtin_translations().values()
     for theory, ctx, sorts in (
         ("S", {"a": HOLD, "b": CEDE}, (HOLD, CEDE)),
         ("B", {"a": STAR, "b": STAR}, (STAR,)),
         ("G", {"a": STAR, "b": STAR}, (STAR,)),
+        ("Tgs", {"a": STAR, "b": STAR}, (STAR,)),
         ("Tr", {"a": HOLD, "b": CEDE}, (HOLD, CEDE)),
     ):
         p = build(theory)
@@ -344,3 +347,10 @@ def test_printer_parser_roundtrip_on_random_terms():
             t = random_term(p, ctx, sort, 4, rng)
             printed = term_to_sexpr(t, p)
             assert parse_term(printed, p, ctx, expected=sort) == t
+            # what `translate` prints must parse back in the target theory
+            for tr in translations:
+                if tr.source.name == theory:
+                    image = apply_translation(tr, t)
+                    printed = term_to_sexpr(image, tr.target)
+                    target_ctx = translate_context(tr, ctx)
+                    assert parse_term(printed, tr.target, target_ctx, expected=image.sort) == image

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from tracealg import (
@@ -5,6 +7,7 @@ from tracealg import (
     HOLD,
     STAR,
     App,
+    StoreSpace,
     Var,
     app,
     bottom,
@@ -15,6 +18,7 @@ from tracealg import (
     join,
 )
 from tracealg.theories import (
+    THEORY_NAMES,
     Bounds,
     TranslationMismatch,
     UnknownTheory,
@@ -265,3 +269,41 @@ def test_distributivity_instances_cover_all_positions(shared):
     assert "dist:or@hold@0/2" in names
     for inst in insts:
         assert inst.lhs.sort is inst.rhs.sort
+
+
+# sha256 of the listing below, recorded from the per-operator translation
+# tables and per-scheme instance lists that the image rules and row
+# generators replaced; any change to an instance or an image changes it.
+THEORY_DIGEST = "2354fc6f48631b6189a40929233e74bb80f1a710f4748fd09db6bc5dfaff6e89"
+
+
+def _image_lines(tr):
+    for op in sorted(tr.source.signature.operators.values(), key=lambda o: o.name):
+        for arity in range(4) if op.variadic else [len(op.args)]:
+            yield f"{tr.name} {op.name}/{arity} {tr.image(op.name, arity)!r}"
+
+
+def _theory_lines():
+    for locs in (("x",), ("x", "y")):
+        space = StoreSpace(locs)
+        for name in THEORY_NAMES:
+            p = build(name, space)
+            yield from map(repr, instantiate_axioms(p, Bounds()))
+            yield from map(repr, distributivity_instances(p, Bounds()))
+            yield from _image_lines(identity_translation(p))
+        trs = builtin_translations(space)
+        for name in sorted(trs):
+            yield from _image_lines(trs[name])
+        for a, b in (("E_Tgs", "E_G"), ("E_G", "E_Tgs"), ("E_STr", "E_TrS"), ("E_TrS", "E_STr")):
+            yield from _image_lines(compose(trs[a], trs[b]))
+
+
+def test_axioms_and_translation_images_match_recorded_digest():
+    # every axiom and distributivity instance, and every operator image of the
+    # built-in, identity and round-trip translations, byte for byte
+    h = hashlib.sha256()
+    count = 0
+    for line in _theory_lines():
+        h.update(line.encode() + b"\n")
+        count += 1
+    assert (count, h.hexdigest()) == (4913, THEORY_DIGEST)

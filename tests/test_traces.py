@@ -18,6 +18,7 @@ from tracealg import (
     Store,
     StoreSpace,
     Trace,
+    TraceAlgebra,
     TraceSet,
     Transition,
     brookes_set,
@@ -28,7 +29,6 @@ from tracealg import (
     denote,
     equal,
     member,
-    prefix,
     sorted_set,
     step_deductions,
     subset,
@@ -530,31 +530,31 @@ def test_one_pass_normal_form_equals_random_rewriting(steps, seed):
 
 
 # ---------------------------------------------------------------------------
-# Prefixing
+# Prefixing a transition (``TraceAlgebra.transition``)
 
 
 def test_prefix_formula():
     K = sorted_set(HOLD, [mk(HOLD, [("10", "00")], HOLD, "x")])
-    out = prefix(ST["11"], ST["10"], K)
+    out = TraceAlgebra(SP).transition(ST["11"], ST["10"], K)
     assert out.generators == frozenset({mk(HOLD, [("11", "00")], HOLD, "x")})
 
 
 def test_prefix_drops_other_sources():
     K = sorted_set(HOLD, [mk(HOLD, [("01", "00")], HOLD, "x")])
-    assert prefix(ST["11"], ST["10"], K).is_empty()
+    assert TraceAlgebra(SP).transition(ST["11"], ST["10"], K).is_empty()
 
 
 def test_prefix_identity_on_matching_stutter():
     gens = [mk(HOLD, [("10", "00"), ("11", "01")], CEDE, "x")]
     K = sorted_set(HOLD, gens)
-    assert equal(prefix(ST["10"], ST["10"], K), K)
+    assert equal(TraceAlgebra(SP).transition(ST["10"], ST["10"], K), K)
 
 
 def test_prefix_requires_held_sorted_set():
     with pytest.raises(SortMismatch):
-        prefix(ST["11"], ST["10"], sorted_set(CEDE, []))
+        TraceAlgebra(SP).transition(ST["11"], ST["10"], sorted_set(CEDE, []))
     with pytest.raises(SortMismatch):
-        prefix(ST["11"], ST["10"], brookes_set([]))
+        TraceAlgebra(SP).transition(ST["11"], ST["10"], brookes_set([]))
 
 
 def test_prefix_commutes_with_closure():
@@ -578,9 +578,8 @@ def test_prefix_commutes_with_closure():
             for t in closure_bounded(gens, SORTED, SP, 4)
             if t.steps[0].pre == rho
         )
-        closure_of_image = closure_bounded(
-            prefix(sigma, rho, sorted_set(HOLD, gens)).generators, SORTED, SP, 4
-        )
+        image = TraceAlgebra(SP).transition(sigma, rho, sorted_set(HOLD, gens))
+        closure_of_image = closure_bounded(image.generators, SORTED, SP, 4)
         assert image_of_closure == closure_of_image
 
 
