@@ -117,8 +117,11 @@ class Signature:
     sorts: frozenset[Sort]
     operators: Mapping[str, Operator]
     aliases: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    # The first join operator of each sort, derived from ``operators``.
+    # The first join operator of each sort, derived from ``operators``, and,
+    # where that join accepts zero arguments, its empty application: one
+    # term per sort.
     _joins: Mapping[Sort, Operator] = field(init=False, repr=False, compare=False)
+    _bottoms: Mapping[Sort, "App"] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         joins: dict[Sort, Operator] = {}
@@ -131,6 +134,11 @@ class Signature:
             if op.kind == "join":
                 joins.setdefault(op.result, op)
         object.__setattr__(self, "_joins", joins)
+        object.__setattr__(
+            self,
+            "_bottoms",
+            {sort: App(op.name, (), sort) for sort, op in joins.items() if op.accepts_arity(0)},
+        )
         for alias, names in self.aliases.items():
             for name in names:
                 if name not in self.operators:
@@ -189,7 +197,10 @@ def join(sig: Signature, sort: Sort, args: Sequence[Term]) -> App:
 
 
 def bottom(sig: Signature, sort: Sort) -> App:
-    return join(sig, sort, ())
+    """The empty join at ``sort``: the same term on every call, so that a
+    fold memoized by node identity evaluates it once."""
+    bot = sig._bottoms.get(sort)
+    return bot if bot is not None else join(sig, sort, ())
 
 
 def check_sort(

@@ -8,6 +8,12 @@ their value, and shares join, unit and extension with ``TraceAlgebra``;
 ``GTableAlgebra`` interprets nondeterministic global state as store
 functions.  All operations work on generators and are exact for the denoted
 closures, a fact the oracle tests pin down.
+
+Stores and steps are ints (see ``store``): the operations test a location
+with ``space.mask`` or ``space.pre_mask``, read a step's stores from
+``pre_of``/``post_of``, and pick every step they emit from the space's
+tables.  They build their results through ``TraceSet._built``, since each
+generator they make starts at the sort they make it with.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from .traces import (
     canonicalize,
     closure_bounded,
     member,
-    sorted_set,
 )
 
 # Acquire canonicalizes results with more generators than this.
@@ -49,7 +54,7 @@ CANONICAL_THRESHOLD = 8
 
 def unit(space: StoreSpace, sort: Sort, value: str) -> TraceSet:
     """The single-stutter traces; this set is already closed."""
-    return sorted_set(sort, (Trace(sort, (st,), sort, value) for st in space.stutters))
+    return TraceSet._built(sort, [Trace(sort, (st,), sort, value) for st in space.stutters])
 
 
 class TraceAlgebra(Algebra):
@@ -89,7 +94,7 @@ class TraceAlgebra(Algebra):
             if k.sort is not sort:
                 raise SortMismatch("joined sets must share their sort")
             gens |= k.generators
-        return sorted_set(sort, gens)
+        return TraceSet._built(sort, gens)
 
     def update(self, loc: int, bit: int, K: TraceSet) -> TraceSet:
         """Union over input stores of prefixing with the store update.
@@ -99,16 +104,19 @@ class TraceAlgebra(Algebra):
         once more with the first source's bit flipped; the others drop.
         """
         self._expect(K, HOLD)
-        flip = self.space.with_bit[loc][1 - bit]
+        space = self.space
+        mask = space.pre_mask(loc)
+        want = mask if bit else 0
+        table = space.steps
         gens = set()
         for g in K.generators:
-            first = g.steps[0]
-            if first.pre.bits[loc] != bit:
+            steps = g.steps
+            first = steps[0]
+            if first & mask != want:
                 continue
             gens.add(g)
-            steps = (Transition(flip[first.pre], first.post),) + g.steps[1:]
-            gens.add(Trace(HOLD, steps, g.value_sort, g.value))
-        return sorted_set(HOLD, gens)
+            gens.add(Trace(HOLD, (table[first ^ mask],) + steps[1:], g.value_sort, g.value))
+        return TraceSet._built(HOLD, gens)
 
     def lookup(self, loc: int, K0: TraceSet, K1: TraceSet) -> TraceSet:
         """Branch on the bit at ``loc`` without changing the store: the
@@ -116,16 +124,17 @@ class TraceAlgebra(Algebra):
         relying on ``loc = 1``, in one pass over each branch."""
         self._expect(K0, HOLD)
         self._expect(K1, HOLD)
-        gens = {g for g in K0.generators if g.steps[0].pre.bits[loc] == 0}
-        gens.update(g for g in K1.generators if g.steps[0].pre.bits[loc] == 1)
-        return sorted_set(HOLD, gens)
+        mask = self.space.pre_mask(loc)
+        gens = {g for g in K0.generators if not g.steps[0] & mask}
+        gens.update(g for g in K1.generators if g.steps[0] & mask)
+        return TraceSet._built(HOLD, gens)
 
     def acquire(self, K: TraceSet) -> TraceSet:
         self._expect(K, HOLD)
         gens = frozenset(
             Trace(CEDE, g.steps, g.value_sort, g.value) for g in K.generators
         )
-        out = TraceSet(CEDE, gens)
+        out = TraceSet._built(CEDE, gens)
         if len(gens) > CANONICAL_THRESHOLD:
             out = canonicalize(out)
         return out
@@ -139,7 +148,7 @@ class TraceAlgebra(Algebra):
             gens.add(Trace(HOLD, steps, value_sort, value))
             for stutter in stutters:
                 gens.add(Trace(HOLD, (stutter,) + steps, value_sort, value))
-        return sorted_set(HOLD, gens)
+        return TraceSet._built(HOLD, gens)
 
     def transition(self, pre: Store, post: Store, K: TraceSet) -> TraceSet:
         """Assert the store is ``pre`` and move it to ``post``; used by the
@@ -152,12 +161,16 @@ class TraceAlgebra(Algebra):
         the closure.
         """
         self._expect(K, HOLD)
+        space = self.space
+        pre_of, post_of, from_pre = space.pre_of, space.post_of, space.step_of[pre]
         gens = set()
         for g in K.generators:
-            if g.steps[0].pre == post:
-                steps = (Transition(pre, g.steps[0].post),) + g.steps[1:]
+            steps = g.steps
+            first = steps[0]
+            if pre_of[first] == post:
+                steps = (from_pre[post_of[first]],) + steps[1:]
                 gens.add(Trace(HOLD, steps, g.value_sort, g.value))
-        return sorted_set(HOLD, gens)
+        return TraceSet._built(HOLD, gens)
 
     def unit(self, sort: Sort, value: str) -> TraceSet:
         return unit(self.space, sort, value)
@@ -179,7 +192,7 @@ def kleisli(env: Mapping[str, TraceSet], K: TraceSet) -> TraceSet:
     shared intermediate store.  Both parts follow from the ends-invariance
     of closed sets, so generator pairs suffice.
     """
-    gens = set()
+    gens: set[Trace] = set()
     for g in K.generators:
         if g.value not in env:
             raise MissingBinding(f"no continuation for value {g.value!r}")
@@ -194,13 +207,17 @@ def kleisli(env: Mapping[str, TraceSet], K: TraceSet) -> TraceSet:
                 gens.add(Trace(g.start, g.steps + h.steps, h.value_sort, h.value))
         else:
             last = g.steps[-1]
+            tables = last.tables
+            pre_of, post_of = tables.pre_of, tables.post_of
+            from_pre, post = tables.step_of[pre_of[last]], post_of[last]
+            prefix = g.steps[:-1]
             for h in cont.generators:
                 first = h.steps[0]
-                if last.post != first.pre:
+                if pre_of[first] is not post:
                     continue
-                steps = g.steps[:-1] + (Transition(last.pre, first.post),) + h.steps[1:]
+                steps = prefix + (from_pre[post_of[first]],) + h.steps[1:]
                 gens.add(Trace(g.start, steps, h.value_sort, h.value))
-    return sorted_set(K.sort, gens)
+    return TraceSet._built(K.sort, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +274,9 @@ class BrookesAlgebra(Algebra):
 
     def transition(self, pre: Store, post: Store, K: TraceSet) -> TraceSet:
         self._expect(K)
-        return brookes_set(
-            Trace(CEDE, (Transition(pre, post),) + g.steps, CEDE, g.value)
-            for g in K.generators
+        step = self.space.step_of[pre][post]
+        return TraceSet._built(
+            CEDE, [Trace(CEDE, (step,) + g.steps, CEDE, g.value) for g in K.generators]
         )
 
     def unit(self, value: str) -> TraceSet:
@@ -269,22 +286,23 @@ class BrookesAlgebra(Algebra):
         """Branch on a location: a stutter records the store that was read."""
         self._expect(K0)
         self._expect(K1)
-        branches = (K0, K1)
+        mask = self.space.mask(loc)
         gens = set()
         for sigma, stutter in zip(self.space.stores, self.space.stutters):
-            for g in branches[sigma.bits[loc]].generators:
+            for g in (K1 if sigma & mask else K0).generators:
                 gens.add(Trace(CEDE, (stutter,) + g.steps, CEDE, g.value))
-        return brookes_set(gens)
+        return TraceSet._built(CEDE, gens)
 
     def write(self, loc: int, bit: int, K: TraceSet) -> TraceSet:
         self._expect(K)
-        to = self.space.with_bit[loc][bit]
+        step_of = self.space.step_of
+        mask = self.space.mask(loc)
         gens = set()
         for sigma in self.space.stores:
-            step = Transition(sigma, to[sigma])
+            step = step_of[sigma][sigma | mask if bit else sigma & ~mask]
             for g in K.generators:
                 gens.add(Trace(CEDE, (step,) + g.steps, CEDE, g.value))
-        return brookes_set(gens)
+        return TraceSet._built(CEDE, gens)
 
     def kleisli(self, env: Mapping[str, TraceSet], K: TraceSet) -> TraceSet:
         self._expect(K)
@@ -324,7 +342,7 @@ def par(K1: TraceSet, K2: TraceSet, pairing: Callable[[str, str], str] | None = 
                 for slot in range(n1 + n2):
                     merged.append(next(it1) if slot in chosen else next(it2))
                 gens.add(Trace(CEDE, tuple(merged), CEDE, value))
-    return brookes_set(gens)
+    return TraceSet._built(CEDE, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +358,7 @@ def yield1(K: TraceSet, space: StoreSpace) -> TraceSet:
     for step in space.stutters:
         for g in K.generators:
             gens.add(Trace(CEDE, (step,) + g.steps, CEDE, g.value))
-    return brookes_set(gens)
+    return TraceSet._built(CEDE, gens)
 
 
 def yield2(K: TraceSet, space: StoreSpace) -> TraceSet:
@@ -357,10 +375,10 @@ def single_cell_witness(K: TraceSet, space: StoreSpace) -> bool:
     closure up to the longest generator (all mumble reducts live there).
     """
 
+    pre_of, post_of = space.pre_of, space.post_of
+
     def qualifies(t: Trace) -> bool:
-        return all(
-            sum(a != b for a, b in zip(s.pre.bits, s.post.bits)) <= 1 for s in t.steps
-        )
+        return all((pre_of[s] ^ post_of[s]).bit_count() <= 1 for s in t.steps)
 
     if K.is_empty():
         return False
@@ -423,9 +441,10 @@ def gtable_to_traceset(space: StoreSpace, table: GTable) -> TraceSet:
     """View outcomes as single-transition held traces; such sets are closed."""
     gens = set()
     for sigma, row in zip(space.stores, table.rows):
+        from_sigma = space.step_of[sigma]
         for value, rho in row:
-            gens.add(Trace(HOLD, (Transition(sigma, rho),), HOLD, value))
-    return sorted_set(HOLD, gens)
+            gens.add(Trace(HOLD, (from_sigma[rho],), HOLD, value))
+    return TraceSet._built(HOLD, gens)
 
 
 class GTableAlgebra(Algebra):
@@ -434,7 +453,6 @@ class GTableAlgebra(Algebra):
     def __init__(self, space: StoreSpace, signature: Signature | None = None):
         self.space = space
         self.signature = signature or build("G", space).signature
-        self._index = {s: i for i, s in enumerate(space.stores)}
 
     def apply(self, op: Operator, args: tuple) -> GTable:
         if op.kind == "join":
@@ -443,18 +461,22 @@ class GTableAlgebra(Algebra):
                 for i in range(len(self.space.stores))
             )
             return GTable(rows)
+        # a store is its own row index
         if op.kind == "update":
             loc, bit = op.params
             (k,) = args
-            to = self.space.with_bit[loc][bit]
-            return GTable(tuple(k.rows[self._index[to[s]]] for s in self.space.stores))
+            mask = self.space.mask(loc)
+            rows = k.rows
+            return GTable(
+                tuple(rows[s | mask if bit else s & ~mask] for s in range(len(rows)))
+            )
         if op.kind == "lookup":
             (loc,) = op.params
             k0, k1 = args
+            mask = self.space.mask(loc)
             return GTable(
                 tuple(
-                    (k0, k1)[s.get(loc)].rows[i]
-                    for i, s in enumerate(self.space.stores)
+                    (k1 if s & mask else k0).rows[s] for s in range(len(self.space.stores))
                 )
             )
         raise NotImplementedError(f"no state-function interpretation for {op.name}")

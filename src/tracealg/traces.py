@@ -4,9 +4,9 @@ A trace is a non-empty sequence of store transitions delimited by sorts: the
 start sort says whether the environment may run before the first transition,
 the value sort whether it may run after the last.  ``Trace`` is a plain
 immutable tuple ``(start, steps, value_sort, value)`` of sorts (``str``
-enums), transitions (tuples of stores) and a string, so the model
-operations, which build and hash many traces, do C-level work on each; only
-its constructor's checks run in Python.  Closed sets of traces are
+enums), transitions (interned ints, see ``store``) and a string, so the
+model operations, which build and hash many traces, do C-level work on each;
+only its constructor's checks run in Python.  Closed sets of traces are
 represented by finite generator sets; the closure itself is countably
 infinite and never materialised.  Membership in a closure is decided by a
 small dynamic program, validated exhaustively against the brute-force
@@ -40,7 +40,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .kernel import CEDE, HOLD, Sort, SortMismatch
-from .store import Store, StoreSpace, Transition
+from .store import StoreSpace, Transition
 
 SORTED = "sorted"
 BROOKES = "brookes"
@@ -91,21 +91,14 @@ class Trace(tuple):
         )
 
     def render(self) -> str:
-        body = " ".join(t.render() for t in self.steps)
+        body = " ".join([t.render() for t in self.steps])
         return f"{self.start.symbol} [ {body} ] {self.value_sort.symbol} {self.value}"
 
     def key(self) -> tuple:
-        return (
-            len(self.steps),
-            self.start.order,
-            tuple((t.pre.bits, t.post.bits) for t in self.steps),
-            self.value_sort.order,
-            self.value,
-        )
-
-
-def trace(start: Sort, steps: Iterable[tuple[Store, Store]], value_sort: Sort, value: str) -> Trace:
-    return Trace(start, tuple(Transition(p, q) for p, q in steps), value_sort, value)
+        """Length, start sort, steps, value sort, value.  Steps of one width
+        compare as ints in the order of their ``(pre.bits, post.bits)``."""
+        steps = self.steps
+        return (len(steps), self.start.order, steps, self.value_sort.order, self.value)
 
 
 @dataclass(frozen=True)
@@ -126,6 +119,15 @@ class TraceSet:
                 raise ValueError(
                     f"generator starts at {g.start.value}, set is {self.sort.value}-sorted"
                 )
+
+    @classmethod
+    def _built(cls, sort: Sort, gens: Iterable[Trace]) -> "TraceSet":
+        """A set whose generators the caller built to start at ``sort``:
+        the per-generator check of ``__post_init__`` is skipped."""
+        K = object.__new__(cls)
+        object.__setattr__(K, "sort", sort)
+        object.__setattr__(K, "generators", frozenset(gens))
+        return K
 
     def is_empty(self) -> bool:
         return not self.generators
@@ -149,7 +151,7 @@ def brookes_set(gens: Iterable[Trace]) -> TraceSet:
 
 def _space_for(traces: Iterable[Trace]) -> StoreSpace:
     for t in traces:
-        width = len(t.steps[0].pre.bits)
+        width = t.steps[0].width
         return StoreSpace(tuple(f"l{i}" for i in range(width)))
     raise ValueError("cannot derive a store space from no traces")
 
@@ -167,20 +169,22 @@ def step_deductions(t: Trace, discipline: str, space: StoreSpace) -> frozenset[T
     front_ok = discipline == BROOKES or t.start is CEDE
     back_ok = discipline == BROOKES or t.value_sort is CEDE
     out: set[Trace] = set()
-    n = len(t.steps)
+    steps = t.steps
+    n = len(steps)
     for pos in range(n + 1):
         if pos == 0 and not front_ok:
             continue
         if pos == n and not back_ok:
             continue
+        head, tail = steps[:pos], steps[pos:]
         for stutter in space.stutters:
-            steps = t.steps[:pos] + (stutter,) + t.steps[pos:]
-            out.add(Trace(t.start, steps, t.value_sort, t.value))
+            out.add(Trace(t.start, head + (stutter,) + tail, t.value_sort, t.value))
+    pre_of, post_of, step_of = space.pre_of, space.post_of, space.step_of
     for i in range(n - 1):
-        a, b = t.steps[i], t.steps[i + 1]
-        if a.post == b.pre:
-            steps = t.steps[:i] + (Transition(a.pre, b.post),) + t.steps[i + 2 :]
-            out.add(Trace(t.start, steps, t.value_sort, t.value))
+        a, b = steps[i], steps[i + 1]
+        if post_of[a] is pre_of[b]:
+            fused = step_of[pre_of[a]][post_of[b]]
+            out.add(Trace(t.start, steps[:i] + (fused,) + steps[i + 2 :], t.value_sort, t.value))
     return frozenset(out)
 
 
@@ -244,28 +248,34 @@ def _gen_contains(g: Trace, t: Trace) -> bool:
     chained generator steps (in order, jointly covering all of them) or an
     inserted stutter; end positions accept a stutter only where the sorts
     cede.  The reachable-prefix sets are kept as bitmasks over how many
-    generator steps have been consumed.
+    generator steps have been consumed; stores are compared as interned
+    objects.
     """
     if g.start is not t.start or g.value_sort is not t.value_sort or g.value != t.value:
         return False
     gs, ts = g.steps, t.steps
     m, n = len(gs), len(ts)
+    tables = gs[0].tables
+    pre_of, post_of = tables.pre_of, tables.post_of
+    gpre = [pre_of[s] for s in gs]
+    gpost = [post_of[s] for s in gs]
     front_ok = t.start is CEDE
     back_ok = t.value_sort is CEDE
     reach = 1
     for j in range(n):
-        pre, post = ts[j]
+        step = ts[j]
+        pre, post = pre_of[step], post_of[step]
         nxt = 0
-        if pre == post and (j > 0 or front_ok) and (j < n - 1 or back_ok):
+        if pre is post and (j > 0 or front_ok) and (j < n - 1 or back_ok):
             nxt = reach
         for i in range(m):
-            if not (reach >> i) & 1 or gs[i].pre != pre:
+            if not (reach >> i) & 1 or gpre[i] is not pre:
                 continue
             k = i
             while True:
-                if gs[k].post == post:
+                if gpost[k] is post:
                     nxt |= 1 << (k + 1)
-                if k + 1 >= m or gs[k].post != gs[k + 1].pre:
+                if k + 1 >= m or gpost[k] is not gpre[k + 1]:
                     break
                 k += 1
         reach = nxt
@@ -297,18 +307,22 @@ def equal(a: TraceSet, b: TraceSet) -> bool:
     return subset(a, b) and subset(b, a)
 
 
-def _normal_form(steps: tuple[Transition, ...]) -> tuple[tuple[Store, Store], ...]:
+def _normal_form(steps: tuple[Transition, ...]) -> tuple[Transition, ...]:
     """``steps`` rewritten until no chained pair and no stutter is left.
 
     One left-to-right pass with a stack is one order of rewriting; by
     confluence (see the module docstring) every order ends here.
     """
-    nf: list[tuple[Store, Store]] = []
-    for pre, post in steps:
-        if nf and nf[-1][1] == pre:
-            pre = nf.pop()[0]
-        if pre != post:
-            nf.append((pre, post))
+    tables = steps[0].tables
+    pre_of, post_of, step_of = tables.pre_of, tables.post_of, tables.step_of
+    nf: list[Transition] = []
+    for step in steps:
+        pre, post = pre_of[step], post_of[step]
+        if nf and post_of[nf[-1]] is pre:
+            pre = pre_of[nf.pop()]
+            step = step_of[pre][post]
+        if pre is not post:
+            nf.append(step)
     return tuple(nf)
 
 
@@ -337,7 +351,7 @@ def missing_witness(a: TraceSet, b: TraceSet) -> Trace | None:
         key = _closure_key(g)
         K = class_sets.get(key)
         if K is None:
-            K = class_sets[key] = TraceSet(b.sort, frozenset(classes.get(key, ())))
+            K = class_sets[key] = TraceSet._built(b.sort, classes.get(key, ()))
         if not member(g, K):
             return g
     return None
@@ -371,5 +385,5 @@ def canonicalize(K: TraceSet) -> TraceSet:
                 if not any(_gen_contains(g, t) for g in rest):
                     surviving.append(t)
             kept.extend(surviving)
-    return TraceSet(K.sort, frozenset(kept))
+    return TraceSet._built(K.sort, kept)
 

@@ -24,7 +24,7 @@ from tracealg import (
     term_algebra,
 )
 from tracealg.checker import SetAlgebra, random_term
-from tracealg.kernel import compose_substitutions
+from tracealg.kernel import TermAlgebra, compose_substitutions
 
 
 def test_check_sort_variable(shared):
@@ -199,3 +199,38 @@ def test_join_op_table_matches_an_operator_scan():
     ops = {"or": Operator("or", STAR, (STAR,), variadic=True, kind="join")}
     one, two = Signature(frozenset({STAR}), ops), Signature(frozenset({STAR}), dict(ops))
     assert one == two and "_joins" not in repr(one)
+
+
+def test_bottom_is_one_shared_term_per_sort_and_folds_once(shared, space):
+    from tracealg.theories import cell_assert_term
+
+    sig = shared.signature
+    for sort in (HOLD, CEDE):
+        assert bottom(sig, sort) is bottom(sig, sort)
+        assert bottom(sig, sort) == join(sig, sort, ())
+        assert repr(bottom(sig, sort)) == repr(join(sig, sort, ()))
+    with pytest.raises(SortMismatch):
+        bottom(sig, STAR)
+    x = Var("x", HOLD)
+    t = join(sig, HOLD, tuple(cell_assert_term(sig, space, loc, 1, x) for loc in (0, 1)))
+    assert t.args[0].args[0] is t.args[1].args[0] is bottom(sig, HOLD)
+
+    calls = []
+
+    class Counting(TermAlgebra):
+        def apply(self, op, args):
+            calls.append(op.name)
+            return super().apply(op, args)
+
+    assert evaluate(Counting(sig), {"x": x}, t) == t
+    assert calls.count("or@hold") == 2  # the bottom once, the outer join once
+
+
+def test_bottom_of_a_fixed_arity_join_is_an_arity_error():
+    from tracealg import Operator, Signature
+
+    # a hand-built signature whose join takes two arguments has no empty join
+    ops = {"or2": Operator("or2", STAR, (STAR, STAR), kind="join")}
+    sig = Signature(frozenset({STAR}), ops)
+    with pytest.raises(ArityMismatch):
+        bottom(sig, STAR)

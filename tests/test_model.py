@@ -36,8 +36,36 @@ from tracealg import (
     yield2,
 )
 from tracealg.checker import SampleConfig, random_brookes_set, random_closed_set
-from tracealg.model import GTable, GTableAlgebra, gtable_to_traceset, variable_gtable
+from tracealg.model import (
+    CANONICAL_THRESHOLD,
+    GTableAlgebra,
+    gtable_to_traceset,
+    variable_gtable,
+)
 from tracealg.theories import open_transition_term
+from tuple_reference import (
+    RefStore,
+    RefTrace,
+    RefTransition,
+    ref_acquire,
+    ref_brookes_transition,
+    ref_gens,
+    ref_gtable_lookup,
+    ref_gtable_update,
+    ref_kleisli,
+    ref_lookup,
+    ref_par,
+    ref_qualifies,
+    ref_read,
+    ref_release,
+    ref_step,
+    ref_stores,
+    ref_trace,
+    ref_transition,
+    ref_unit,
+    ref_update,
+    ref_write,
+)
 
 SP = StoreSpace()
 ST = {s.render(): s for s in SP.stores}
@@ -466,59 +494,8 @@ def test_gtable_traceset_view_is_closed(space):
 
 
 # ---------------------------------------------------------------------------
-# The table-driven operations against the store-scanning ones they replace
-
-
-def scan_update(space, loc, bit, K):
-    gens = set()
-    for g in K.generators:
-        first = g.steps[0]
-        if first.pre.get(loc) != bit:
-            continue
-        for source in (first.pre, first.pre.set(loc, 1 - bit)):
-            steps = (Transition(source, first.post),) + g.steps[1:]
-            gens.add(Trace(HOLD, steps, g.value_sort, g.value))
-    return sorted_set(HOLD, gens)
-
-
-def scan_lookup(space, loc, K0, K1):
-    gens = set()
-    for sigma in space.stores:
-        for g in (K0, K1)[sigma.get(loc)].generators:
-            if g.steps[0].pre == sigma:
-                gens.add(g)
-    return sorted_set(HOLD, gens)
-
-
-def scan_release(space, K):
-    gens = set()
-    for g in K.generators:
-        gens.add(Trace(HOLD, g.steps, g.value_sort, g.value))
-        for sigma in space.stores:
-            gens.add(Trace(HOLD, (Transition(sigma, sigma),) + g.steps, g.value_sort, g.value))
-    return sorted_set(HOLD, gens)
-
-
-def scan_read(space, loc, K0, K1):
-    gens = set()
-    for sigma in space.stores:
-        for g in (K0, K1)[sigma.get(loc)].generators:
-            gens.add(Trace(CEDE, (Transition(sigma, sigma),) + g.steps, CEDE, g.value))
-    return brookes_set(gens)
-
-
-def scan_write(space, loc, bit, K):
-    gens = set()
-    for sigma in space.stores:
-        step = Transition(sigma, sigma.set(loc, bit))
-        for g in K.generators:
-            gens.add(Trace(CEDE, (step,) + g.steps, CEDE, g.value))
-    return brookes_set(gens)
-
-
-def scan_gtable_update(space, loc, bit, table):
-    index = {s: i for i, s in enumerate(space.stores)}
-    return GTable(tuple(table.rows[index[s.set(loc, bit)]] for s in space.stores))
+# The packed operations against the tuple operations they replace
+# (``tuple_reference``)
 
 
 def raw_set(space, sort, rng, brookes=False):
@@ -540,40 +517,80 @@ SPACES = [StoreSpace(tuple(f"l{i}" for i in range(n))) for n in (1, 2, 3)]
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
 def test_space_tables_match_store_operations(space):
-    for loc in range(len(space.locations)):
-        for bit in (0, 1):
-            assert space.with_bit[loc][bit] == {s: s.set(loc, bit) for s in space.stores}
+    refs = ref_stores(space.width)
+    assert [s.bits for s in space.stores] == [r.bits for r in refs]
+    for s, r in zip(space.stores, refs):
+        for loc in range(space.width):
+            assert s.get(loc) == r.get(loc)
+            for bit in (0, 1):
+                assert s.set(loc, bit).bits == r.set(loc, bit).bits
+                assert s.set(loc, bit) is space.stores[s.set(loc, bit)]
     assert space.stutters == tuple(Transition(s, s) for s in space.stores)
+    assert [ref_step(t) for t in space.steps] == [
+        RefTransition(p, q) for p in refs for q in refs
+    ]
+    for p in space.stores:
+        for q in space.stores:
+            assert space.step_of[p][q] is Transition(p, q)
+            step = space.step_of[p][q]
+            assert space.pre_of[step] is p and space.post_of[step] is q
+            for loc in range(space.width):
+                flipped = space.steps[step ^ space.pre_mask(loc)]
+                assert flipped is Transition(p.set(loc, 1 - p.get(loc)), q)
+
+
+def ref_env(env):
+    return {name: ref_gens(K) for name, K in env.items()}
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
 def test_trace_operations_equal_store_scans(space):
     rng = random.Random(len(space.locations))
     alg = TraceAlgebra(space)
+    refs = ref_stores(space.width)
+    for sort in (HOLD, CEDE):
+        assert ref_gens(alg.unit(sort, "v")) == ref_unit(space.width, sort, "v")
     for _ in range(60):
         held, other = raw_set(space, HOLD, rng), raw_set(space, HOLD, rng)
         ceded = raw_set(space, CEDE, rng)
-        assert alg.release(ceded).generators == scan_release(space, ceded).generators
-        for loc in range(len(space.locations)):
+        h, o, c = ref_gens(held), ref_gens(other), ref_gens(ceded)
+        assert ref_gens(alg.release(ceded)) == ref_release(space.width, c)
+        assert ref_gens(alg.acquire(held)) == ref_acquire(h, CANONICAL_THRESHOLD)
+        for loc in range(space.width):
             got = alg.lookup(loc, held, other)
-            assert got.sort is HOLD
-            assert got.generators == scan_lookup(space, loc, held, other).generators
+            assert got.sort is HOLD and ref_gens(got) == ref_lookup(loc, h, o)
             for bit in (0, 1):
                 got = alg.update(loc, bit, held)
-                assert got.sort is HOLD
-                assert got.generators == scan_update(space, loc, bit, held).generators
+                assert got.sort is HOLD and ref_gens(got) == ref_update(loc, bit, h)
+        i, j = rng.randrange(len(refs)), rng.randrange(len(refs))
+        got = alg.transition(space.stores[i], space.stores[j], held)
+        assert ref_gens(got) == ref_transition(refs[i], refs[j], h)
+        for K in (held, ceded):
+            env = {"u": raw_set(space, HOLD, rng), "v": raw_set(space, CEDE, rng)}
+            assert ref_gens(kleisli(env, K)) == ref_kleisli(ref_env(env), ref_gens(K))
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
 def test_brookes_operations_equal_store_scans(space):
     rng = random.Random(10 + len(space.locations))
     alg = BrookesAlgebra(space)
+    refs = ref_stores(space.width)
     for _ in range(60):
         K0, K1 = raw_set(space, CEDE, rng, brookes=True), raw_set(space, CEDE, rng, brookes=True)
-        for loc in range(len(space.locations)):
-            assert alg.read(loc, K0, K1).generators == scan_read(space, loc, K0, K1).generators
+        g0, g1 = ref_gens(K0), ref_gens(K1)
+        i, j = rng.randrange(len(refs)), rng.randrange(len(refs))
+        got = alg.transition(space.stores[i], space.stores[j], K0)
+        assert ref_gens(got) == ref_brookes_transition(refs[i], refs[j], g0)
+        for loc in range(space.width):
+            assert ref_gens(alg.read(loc, K0, K1)) == ref_read(space.width, loc, g0, g1)
             for bit in (0, 1):
-                assert alg.write(loc, bit, K0).generators == scan_write(space, loc, bit, K0).generators
+                assert ref_gens(alg.write(loc, bit, K0)) == ref_write(space.width, loc, bit, g0)
+        small0 = brookes_set(list(K0.generators)[:2])
+        small1 = brookes_set(list(K1.generators)[:2])
+        assert ref_gens(par(small0, small1)) == ref_par(ref_gens(small0), ref_gens(small1))
+        longest = max((len(g.steps) for g in K0.generators), default=1)
+        closure = closure_bounded(K0.generators, SORTED, space, longest, slack=0)
+        assert single_cell_witness(K0, space) == any(ref_qualifies(ref_trace(t)) for t in closure)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
@@ -582,9 +599,54 @@ def test_gtable_update_equals_store_scan(space):
 
     rng = random.Random(20 + len(space.locations))
     alg = GTableAlgebra(space)
-    updates = [op for op in alg.signature.operators.values() if op.kind == "update"]
-    assert len(updates) == 2 * len(space.locations)
+    ops = alg.signature.operators.values()
+    kinds = [op.kind for op in ops]
+    assert kinds.count("update") == 2 * len(space.locations)
+    assert kinds.count("lookup") == len(space.locations)
     for _ in range(30):
-        table = random_gtable(space, ("u", "v"), rng, max_outcomes=3)
-        for op in updates:
-            assert alg.apply(op, (table,)) == scan_gtable_update(space, *op.params, table)
+        t0 = random_gtable(space, ("u", "v"), rng, max_outcomes=3)
+        t1 = random_gtable(space, ("u", "v"), rng, max_outcomes=3)
+        for op in ops:
+            if op.kind == "update":
+                want = ref_gtable_update(space.width, *op.params, t0.rows)
+                assert alg.apply(op, (t0,)).rows == want
+            elif op.kind == "lookup":
+                want = ref_gtable_lookup(space.width, *op.params, t0.rows, t1.rows)
+                assert alg.apply(op, (t0, t1)).rows == want
+            else:
+                want = tuple(a | b for a, b in zip(t0.rows, t1.rows))
+                assert alg.apply(op, (t0, t1)).rows == want
+        got = gtable_to_traceset(space, t0)
+        refs = ref_stores(space.width)
+        assert ref_gens(got) == frozenset(
+            RefTrace(HOLD, (RefTransition(refs[i], RefStore(rho.bits)),), HOLD, value)
+            for i, row in enumerate(t0.rows)
+            for value, rho in row
+        )
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
+def test_denotations_hold_only_steps_of_their_width(space):
+    # a step of one width can equal a step of another as an int, so every
+    # step a denotation holds must come from its own space's tables
+    from tracealg import STAR
+    from tracealg.checker import denote, random_term
+    from tracealg.traces import _space_for
+
+    own = set(map(id, space.steps))
+    rng = random.Random(60 + len(space.locations))
+    for theory, ctx, sorts in (
+        ("S", {"a": HOLD, "b": CEDE}, (HOLD, CEDE)),
+        ("Tr", {"a": HOLD, "b": CEDE}, (HOLD, CEDE)),
+        ("B", {"a": STAR, "b": STAR}, (STAR,)),
+        ("G", {"a": STAR, "b": STAR}, (STAR,)),
+        ("Tgs", {"a": STAR, "b": STAR}, (STAR,)),
+    ):
+        p = build(theory, space)
+        for i in range(12):
+            t = random_term(p, ctx, sorts[i % len(sorts)], 3, rng)
+            K = denote(theory, ctx, t, space)
+            for g in K.generators:
+                assert all(id(s) in own for s in g.steps), g.render()
+            if K.generators:
+                assert _space_for(K.generators).steps is space.steps

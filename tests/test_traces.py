@@ -33,7 +33,17 @@ from tracealg import (
     step_deductions,
     subset,
 )
-from tracealg.traces import _closure_key, _gen_contains, missing_witness
+from tracealg.traces import _closure_key, _gen_contains, _normal_form, _space_for, missing_witness
+from tuple_reference import (
+    RefTransition,
+    ref_gen_contains,
+    ref_key,
+    ref_normal_form,
+    ref_step,
+    ref_step_deductions,
+    ref_stores,
+    ref_trace,
+)
 
 SP = StoreSpace()
 SP1 = StoreSpace(("x",))
@@ -76,6 +86,11 @@ def test_trace_round_trips_through_pickle_and_copy(copier):
     assert type(back) is Trace
     assert back == PINNED and hash(back) == hash(PINNED)
     assert back.start is CEDE and back.value_sort is HOLD
+    # stores and steps come back as the interned objects of their width
+    assert all(a is b for a, b in zip(back.steps, PINNED.steps))
+    for space in (SP1, SP, StoreSpace(("a", "b", "c"))):
+        assert all(copier(s) is s for s in space.stores)
+        assert all(copier(step) is step for step in space.steps)
 
 
 def test_equal_traces_built_separately_hash_alike():
@@ -88,7 +103,8 @@ def test_equal_traces_built_separately_hash_alike():
 
 def test_trace_render_and_key_are_pinned():
     assert PINNED.render() == "∘ [ (10,00) (00,10) ] • x"
-    assert PINNED.key() == (2, 1, (((1, 0), (0, 0)), ((0, 0), (1, 0))), 0, "x")
+    assert ref_key(PINNED) == (2, 1, (((1, 0), (0, 0)), ((0, 0), (1, 0))), 0, "x")
+    assert PINNED.key() == (2, 1, (0b1000, 0b0010), 0, "x")
     assert (PINNED.start, PINNED.steps, PINNED.value_sort, PINNED.value) == (
         CEDE, (tr("10", "00"), tr("00", "10")), HOLD, "x"
     )
@@ -503,7 +519,7 @@ def test_deductions_keep_the_closure_key_random(steps, start, vsort, discipline)
 
 def rewrite_to_fixpoint(steps, rng):
     """Apply the fuse and delete rules at random redexes until none is left."""
-    steps = [tuple(s) for s in steps]
+    steps = [(s.pre, s.post) for s in steps]
     while True:
         redexes = [("delete", i) for i, (p, q) in enumerate(steps) if p == q]
         redexes += [
@@ -524,9 +540,10 @@ def test_one_pass_normal_form_equals_random_rewriting(steps, seed):
     # every rewrite order reaching the one-pass result is evidence that the
     # rules are confluent, which the key's exactness rests on
     key = _closure_key(Trace(CEDE, steps, CEDE, "v"))[3]
+    pairs = tuple((s.pre, s.post) for s in key)
     rng = random.Random(seed)
     for _ in range(4):
-        assert rewrite_to_fixpoint(steps, rng) == key
+        assert rewrite_to_fixpoint(steps, rng) == pairs
 
 
 # ---------------------------------------------------------------------------
@@ -592,3 +609,101 @@ def test_first_store_invariance_of_held_deductions():
                 t = Trace(HOLD, steps, vsort, "v")
                 for succ in step_deductions(t, SORTED, SP):
                     assert succ.steps[0].pre == t.steps[0].pre
+
+
+# ---------------------------------------------------------------------------
+# Packed stores and steps against the tuple references
+
+
+SPACES = [StoreSpace(tuple(f"l{i}" for i in range(n))) for n in (1, 2, 3)]
+
+
+def deduced_from(g, rng, space):
+    """``g`` after up to three random one-step deductions."""
+    t = g
+    for _ in range(rng.randint(0, 3)):
+        succ = sorted(step_deductions(t, SORTED, space), key=Trace.key)
+        if not succ:
+            break
+        t = rng.choice(succ)
+    return t
+
+
+def test_packed_deciders_equal_tuple_references_on_random_pairs():
+    rng = random.Random(7)
+    hits = 0
+    for _ in range(2000):
+        space = rng.choice(SPACES)
+        start, vsort = rng.choice((HOLD, CEDE)), rng.choice((HOLD, CEDE))
+        g = Trace(start, random_steps(rng, space, 1, 4), vsort, "v")
+        if rng.random() < 0.5:
+            t = deduced_from(g, rng, space)
+        else:
+            t = Trace(start, random_steps(rng, space, 1, 5), vsort, "v")
+        rg, rt = ref_trace(g), ref_trace(t)
+        got = _gen_contains(g, t)
+        assert got == ref_gen_contains(rg, rt)
+        hits += got
+        for x, rx in ((g, rg), (t, rt)):
+            assert tuple(map(ref_step, _normal_form(x.steps))) == ref_normal_form(rx.steps)
+        for discipline in (SORTED, BROOKES):
+            got = {ref_trace(d) for d in step_deductions(g, discipline, space)}
+            assert got == ref_step_deductions(rg, discipline, space.width)
+    assert hits > 500
+
+
+def test_trace_key_orders_as_the_tuple_key():
+    rng = random.Random(8)
+    for space in SPACES:
+        traces = [
+            Trace(rng.choice((HOLD, CEDE)), random_steps(rng, space, 1, 3),
+                  rng.choice((HOLD, CEDE)), rng.choice("uv"))
+            for _ in range(300)
+        ]
+        assert sorted(traces, key=Trace.key) == sorted(traces, key=ref_key)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.width}loc")
+def test_store_and_transition_edge_api(space):
+    refs = ref_stores(space.width)
+    for i, (s, r) in enumerate(zip(space.stores, refs)):
+        assert s == i and s.bits == r.bits and s.render() == r.render()
+        assert Store(r.bits) is s and Store(list(r.bits)) is s
+        assert repr(s) == repr(r).replace("Ref", "") and str(s) == r.render()
+    for a, ra in zip(space.stores, refs):
+        for b, rb in zip(space.stores, refs):
+            step = Transition(a, b)
+            assert step == a << space.width | b
+            assert step.pre is a and step.post is b
+            assert (step.pre.bits, step.post.bits) == (ra.bits, rb.bits)
+            assert step.render() == RefTransition(ra, rb).render()
+            assert repr(step) == repr(RefTransition(ra, rb)).replace("Ref", "")
+            assert step.is_stutter() == (a == b)
+    with pytest.raises(ValueError):
+        Store((0, 2))
+    with pytest.raises(ValueError):
+        Store(())
+    other = SP if space.width == 1 else SP1
+    with pytest.raises(ValueError):
+        Transition(space.stores[0], other.stores[0])
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.width}loc")
+def test_space_for_reads_the_width_of_the_steps(space):
+    t = Trace(HOLD, (space.steps[-1],), CEDE, "v")
+    derived = _space_for([t])
+    assert derived == StoreSpace(tuple(f"l{i}" for i in range(space.width)))
+    assert derived.stores is space.stores and derived.steps is space.steps
+    with pytest.raises(ValueError):
+        _space_for([])
+
+
+def test_public_constructors_still_reject_mis_sorted_generators():
+    # the model skips this check through ``TraceSet._built``; callers do not
+    held = mk(HOLD, [("00", "01")], CEDE)
+    with pytest.raises(ValueError):
+        TraceSet(CEDE, frozenset({held}))
+    with pytest.raises(ValueError):
+        sorted_set(CEDE, [held])
+    with pytest.raises(ValueError):
+        brookes_set([held])
