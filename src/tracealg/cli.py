@@ -10,19 +10,21 @@ terms in a parenthesized prefix syntax::
     def lhs = (acq (lkp y (rel x) (rel x)))
     def rhs = x
 
-Operator spellings: ``or`` (variadic join), ``bot`` (empty join), ``upd L B``,
-``lkp L``, ``acq``, ``rel``, and ``tr S S`` with stores as bitstrings in
-location order.  Exit codes: 0 when the queried relation holds (or a report
-passes), 1 when refuted, 2 on parse, sorting, configuration, or internal
-errors.
+``(HEAD PARAM… TERM…)`` applies the operator named ``HEAD:PARAM:…``:
+``upd L B``, ``lkp L``, ``acq``, ``rel`` and ``tr S S``, with stores as
+bitstrings in location order.  Joins are ``(or TERM…)`` and ``bot``.  Exit
+codes: 0 when the queried relation holds (or a report passes), 1 when
+refuted, 2 on parse, sorting, configuration, or internal errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .checker import (
     FREE_MODELS,
@@ -36,6 +38,7 @@ from .checker import (
     validate_axioms,
 )
 from .kernel import (
+    RawTree,
     Sort,
     Term,
     TermError,
@@ -77,100 +80,74 @@ class TermFile:
 
 
 def _tokenize(text: str, offset: int = 0) -> list[tuple[str, int]]:
-    tokens: list[tuple[str, int]] = []
-    i, n = 0, len(text)
+    """Parentheses and whitespace-delimited words, with their 1-based columns."""
+    return [(m.group(), offset + m.start() + 1) for m in re.finditer(r"[()]|[^\s()]+", text)]
+
+
+@lru_cache(maxsize=None)
+def _syntax(theory: str, locations: tuple[str, ...]) -> tuple[dict, dict]:
+    """Each head's allowed words per parameter, and each operator's spelling
+    ``HEAD P…``, read off the operator names ``HEAD:P…``; only the first
+    parameter, a location, may contain ``:``.  Joins are ``or`` and ``bot``."""
+    params: dict[str, tuple[set[str], ...]] = {"or": ()}
+    spelled: dict[str, str] = {}
+    for op in build(theory, StoreSpace(locations)).signature.operators.values():
+        if op.kind != "join":
+            head, _, rest = op.name.partition(":")
+            words = rest.rsplit(":", len(op.params) - 1) if op.params else []
+            for allowed, word in zip(params.setdefault(head, tuple(set() for _ in words)), words):
+                allowed.add(word)
+            spelled[op.name] = " ".join([head, *words])
+    return params, spelled
+
+
+def _parse_sexpr(tokens: list[tuple[str, int]], line: int, theory: Presentation) -> RawTree:
+    """Tokens to a raw operator tree; variables stay bare strings.
+
+    ``(HEAD P… T…)`` becomes ``("HEAD:P…", T…)``; arity and sorts are left to
+    ``check_sort``.  The stack holds the open applications: the column of the
+    ``(``, the name, and the children read so far.
+    """
+    params = _syntax(theory.name, theory.space.locations)[0]
+    stack: list[list] = []
+    i, n = 0, len(tokens)
     while i < n:
-        c = text[i]
-        if c.isspace():
+        tok, col = tokens[i]
+        i += 1
+        if tok == "(":
+            if i == n:
+                raise ParseError("unclosed '('", line, col)
+            head, hcol = tokens[i]
+            allowed = params.get(head)
+            if allowed is None:
+                raise ParseError(f"unknown operator {head!r}", line, hcol)
+            name = head
+            for ok in allowed:
+                i += 1
+                if i == n:
+                    raise ParseError("unclosed '('", line, col)
+                word, wcol = tokens[i]
+                if word not in ok:
+                    raise ParseError(f"bad parameter {word!r} of {head!r}", line, wcol)
+                name += ":" + word
+            stack.append([col, name])
             i += 1
-        elif c in "()":
-            tokens.append((c, offset + i + 1))
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append((text[i:j], offset + i + 1))
-            i = j
-    return tokens
-
-
-def _parse_sexpr(tokens: list[tuple[str, int]], line: int, space: StoreSpace):
-    """Tokens to a raw operator tree; variables stay bare strings."""
-
-    def fail(msg: str, col: int):
-        raise ParseError(msg, line, col)
-
-    def parse(pos: int):
-        if pos >= len(tokens):
-            fail("unexpected end of term", tokens[-1][1] if tokens else 1)
-        tok, col = tokens[pos]
+            continue
         if tok == ")":
-            fail("unexpected ')'", col)
-        if tok != "(":
-            if tok == "bot":
-                return ("or",), pos + 1
-            return tok, pos + 1
-        if pos + 1 >= len(tokens):
-            fail("unclosed '('", col)
-        head, hcol = tokens[pos + 1]
-        pos += 2
-        if head == "or":
-            args = []
-            while pos < len(tokens) and tokens[pos][0] != ")":
-                node, pos = parse(pos)
-                args.append(node)
-            if pos >= len(tokens):
-                fail("unclosed '('", col)
-            return ("or", *args), pos + 1
-
-        def expect_atom(what: str) -> tuple[str, int]:
-            nonlocal pos
-            if pos >= len(tokens) or tokens[pos][0] in "()":
-                fail(f"expected {what}", tokens[pos][1] if pos < len(tokens) else col)
-            atom = tokens[pos]
-            pos += 1
-            return atom
-
-        if head == "upd":
-            loc, lcol = expect_atom("a location")
-            if loc not in space.locations:
-                fail(f"unknown location {loc!r}", lcol)
-            bit, bcol = expect_atom("a bit")
-            if bit not in ("0", "1"):
-                fail(f"bit must be 0 or 1, got {bit!r}", bcol)
-            arg, pos = parse(pos)
-            node = (f"upd:{loc}:{bit}", arg)
-        elif head == "lkp":
-            loc, lcol = expect_atom("a location")
-            if loc not in space.locations:
-                fail(f"unknown location {loc!r}", lcol)
-            a0, pos = parse(pos)
-            a1, pos = parse(pos)
-            node = (f"lkp:{loc}", a0, a1)
-        elif head in ("acq", "rel"):
-            arg, pos = parse(pos)
-            node = (head, arg)
-        elif head == "tr":
-            pre, pcol = expect_atom("a store bitstring")
-            post, qcol = expect_atom("a store bitstring")
-            for text, tcol in ((pre, pcol), (post, qcol)):
-                try:
-                    space.parse_store(text)
-                except ValueError as exc:
-                    fail(str(exc), tcol)
-            arg, pos = parse(pos)
-            node = (f"tr:{pre}:{post}", arg)
+            if not stack:
+                raise ParseError("unexpected ')'", line, col)
+            node = tuple(stack.pop()[1:])
         else:
-            fail(f"unknown operator {head!r}", hcol)
-        if pos >= len(tokens) or tokens[pos][0] != ")":
-            fail(f"expected ')' closing {head!r}", col)
-        return node, pos + 1
-
-    node, pos = parse(0)
-    if pos != len(tokens):
-        fail("trailing tokens after term", tokens[pos][1])
-    return node
+            node = ("or",) if tok == "bot" else tok
+        if stack:
+            stack[-1].append(node)
+        elif i < n:
+            raise ParseError("trailing tokens after term", line, tokens[i][1])
+        else:
+            return node
+    if stack:
+        raise ParseError("unclosed '('", line, stack[-1][0])
+    raise ParseError("unexpected end of term", line, 1)
 
 
 def parse_file(path: str) -> TermFile:
@@ -210,10 +187,10 @@ def parse_file(path: str) -> TermFile:
         elif head == "def":
             if len(words) < 4 or words[2] != "=":
                 raise ParseError("usage: def NAME = TERM", lno, 1)
-            eq_at = raw_line.index("=")
-            def_lines.append(
-                (lno, words[1], _tokenize(raw_line.split("#", 1)[0][eq_at + 1 :], eq_at + 1))
-            )
+            # the term starts after the '=' that follows the name
+            text = raw_line.split("#", 1)[0]
+            start = re.match(r"\s*def\s+\S+\s+=", text).end()
+            def_lines.append((lno, words[1], _tokenize(text[start:], start)))
         else:
             raise ParseError(f"unknown directive {head!r}", lno, 1)
 
@@ -239,7 +216,7 @@ def parse_file(path: str) -> TermFile:
     for lno, name, tokens in def_lines:
         if name in terms:
             raise ParseError(f"term {name!r} defined twice", lno, 1)
-        raw = _parse_sexpr(tokens, lno, space)
+        raw = _parse_sexpr(tokens, lno, theory)
         try:
             terms[name] = check_sort(theory.signature, ctx, raw)
         except TermError as exc:
@@ -251,7 +228,7 @@ def parse_term(
     text: str, theory: Presentation, ctx: dict[str, Sort], expected: Sort | None = None
 ) -> Term:
     """Parse one term in the concrete syntax against a theory and context."""
-    raw = _parse_sexpr(_tokenize(text), 1, theory.space)
+    raw = _parse_sexpr(_tokenize(text), 1, theory)
     return check_sort(theory.signature, ctx, raw, expected)
 
 
@@ -284,27 +261,14 @@ def _space_from_locations(
 
 
 def term_to_sexpr(t: Term, theory: Presentation) -> str:
-    space = theory.space
+    """The concrete syntax of ``t``; ``_parse_sexpr`` reads it back."""
     if isinstance(t, Var):
         return t.name
-    op = theory.signature.operators[t.op]
-    args = [term_to_sexpr(a, theory) for a in t.args]
-    if op.kind == "join":
-        return "bot" if not args else f"(or {' '.join(args)})"
-    if op.kind == "update":
-        loc, bit = op.params
-        return f"(upd {space.locations[loc]} {bit} {args[0]})"
-    if op.kind == "lookup":
-        (loc,) = op.params
-        return f"(lkp {space.locations[loc]} {args[0]} {args[1]})"
-    if op.kind == "acquire":
-        return f"(acq {args[0]})"
-    if op.kind == "release":
-        return f"(rel {args[0]})"
-    if op.kind == "transition":
-        pre, post = op.params
-        return f"(tr {pre.render()} {post.render()} {args[0]})"
-    return f"({op.name}{''.join(' ' + a for a in args)})"
+    args = "".join(" " + term_to_sexpr(a, theory) for a in t.args)
+    spelling = _syntax(theory.name, theory.space.locations)[1].get(t.op)
+    if spelling is None:  # a join
+        return f"(or{args})" if args else "bot"
+    return f"({spelling}{args})"
 
 
 def traceset_json(K: TraceSet) -> list[dict]:

@@ -54,10 +54,6 @@ class UnknownTheory(Exception):
     pass
 
 
-class SortLacksJoin(Exception):
-    pass
-
-
 class TranslationMismatch(Exception):
     pass
 
@@ -121,12 +117,11 @@ def instantiate_axioms(p: Presentation, bounds: Bounds = Bounds()) -> list[Axiom
 def encode_inequation(sig: Signature, l: Term, r: Term, direction: str) -> tuple[Term, Term]:
     """Encode an inequation as an equation over the sort's join.
 
-    ``l <= r`` becomes ``l v r = r`` and ``l >= r`` becomes ``l = l v r``.
+    ``l <= r`` becomes ``l v r = r`` and ``l >= r`` becomes ``l = l v r``;
+    ``kernel.join`` raises ``SortMismatch`` on a sort without a join.
     """
     if l.sort is not r.sort:
         raise SortMismatch(f"cannot order {l.sort.value} against {r.sort.value}")
-    if sig.join_op(l.sort) is None:
-        raise SortLacksJoin(f"sort {l.sort.value} carries no join")
     if direction == "le":
         return join(sig, l.sort, (l, r)), r
     if direction == "ge":

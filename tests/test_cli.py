@@ -1,9 +1,20 @@
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tracealg import CEDE, STAR, build, check_sort
-from tracealg.cli import ParseError, main, parse_file, parse_term, term_to_sexpr
+from tracealg import CEDE, HOLD, STAR, StoreSpace, TermError, build, check_sort
+from tracealg.cli import (
+    ParseError,
+    _parse_sexpr,
+    _tokenize,
+    main,
+    parse_file,
+    parse_term,
+    term_to_sexpr,
+)
 
 EX17 = """\
 # transformations over one ceded variable
@@ -328,8 +339,8 @@ def test_denote_rejects_join_theory(tmp_path, capsys):
 def test_printer_parser_roundtrip_on_random_terms():
     import random
 
-    from tracealg import HOLD, builtin_translations
-    from tracealg.checker import random_term
+    from tracealg import App, Var, builtin_translations
+    from tracealg.checker import FREE_MODELS, TRACE_MODELS, random_term
     from tracealg.theories import apply_translation, translate_context
 
     translations = builtin_translations().values()
@@ -354,3 +365,108 @@ def test_printer_parser_roundtrip_on_random_terms():
                     printed = term_to_sexpr(image, tr.target)
                     target_ctx = translate_context(tr, ctx)
                     assert parse_term(printed, tr.target, target_ctx, expected=image.sort) == image
+
+    # every operator of every theory with a trace model, at 1-4 locations,
+    # one of them spelled with a colon
+    traced = [name for name, (base, _) in FREE_MODELS.items() if base in TRACE_MODELS]
+    assert sorted(traced) == ["B", "G", "S", "Tgs", "Tr"]
+    for locations in (("x",), ("a:b", "y"), ("x", "y", "z"), ("p", "q", "r", "s")):
+        for theory in traced:
+            p = build(theory, StoreSpace(locations))
+            ctx = {f"v{s.value}": s for s in p.signature.sorts}
+            for op in p.signature.operators.values():
+                for arity in (0, 1, 2) if op.variadic else (len(op.args),):
+                    args = tuple(Var(f"v{s.value}", s) for s in op.scheme(arity))
+                    t = App(op.name, args, op.result)
+                    assert parse_term(term_to_sexpr(t, p), p, ctx, expected=op.result) == t
+
+
+@pytest.mark.parametrize("term", ["(acq (or@hold a))", "(acq (lkp:x a a))"])
+def test_operator_names_are_not_concrete_syntax(tmp_path, capsys, term):
+    path = tmp_path / "names.talg"
+    path.write_text(f"theory S\nvar a : hold\ndef t = {term}\n")
+    head = term.split()[1][1:]
+    with pytest.raises(ParseError, match=f"3:15: unknown operator '{head}'"):
+        parse_file(str(path))
+    assert main(["denote", str(path), "t"]) == 2
+    assert capsys.readouterr().err == f"error: 3:15: unknown operator '{head}'\n"
+
+
+def test_def_name_may_contain_equals(tmp_path, capsys):
+    path = tmp_path / "eq.talg"
+    path.write_text("theory S\nvar x : cede\ndef a=b = (acq (rel x))\n")
+    assert main(["denote", str(path), "a=b"]) == 0
+    assert capsys.readouterr().out.startswith("∘ [")
+
+
+def test_parse_sexpr_takes_deep_terms():
+    # the parser keeps a stack of open applications instead of recursing
+    depth = 10_000
+    tokens = _tokenize("(acq (rel " * depth + "x" + "))" * depth)
+    raw = _parse_sexpr(tokens, 1, build("S"))
+    for _ in range(depth):
+        assert raw[0] == "acq" and len(raw) == 2
+        assert raw[1][0] == "rel" and len(raw[1]) == 2
+        raw = raw[1][1]
+    assert raw == "x"
+
+
+@pytest.mark.parametrize(
+    "theory, text, message",
+    [
+        ("S", "(upd z 0 x)", "1:6: bad parameter 'z' of 'upd'"),
+        ("S", "(upd x 2 x)", "1:8: bad parameter '2' of 'upd'"),
+        ("B", "(tr 1 00 x)", "1:5: bad parameter '1' of 'tr'"),
+        ("S", "(tr 00 11 x)", "1:2: unknown operator 'tr'"),
+        ("S", "(upd x 0 x x)", "operator 'upd:x:0' expects 1 arguments, got 2"),
+        ("S", "(lkp x x)", "operator 'lkp:x' expects 2 arguments, got 1"),
+        ("S", "(acq (rel x", "1:6: unclosed '('"),
+        ("S", "(acq (rel x)", "1:1: unclosed '('"),
+        ("S", "(upd x", "1:1: unclosed '('"),
+        ("S", "x)", "1:2: trailing tokens after term"),
+        ("S", ")", "1:1: unexpected ')'"),
+        ("S", "(frob x)", "1:2: unknown operator 'frob'"),
+        ("S", "(bot)", "1:2: unknown operator 'bot'"),
+        ("S", "", "1:1: unexpected end of term"),
+    ],
+)
+def test_parse_error_wording(theory, text, message):
+    ctx = {"x": STAR if theory == "B" else HOLD}
+    with pytest.raises((ParseError, TermError)) as err:
+        parse_term(text, build(theory), ctx)
+    assert message in str(err.value)
+
+
+TERM_WORDS = [
+    "(", ")", "(", ")", "upd", "lkp", "tr", "acq", "rel", "or", "bot", "or@hold",
+    "lkp:x", "x", "y", "z", "a:b", "0", "1", "2", "00", "01", "10", "11", "101",
+    "a", "b", "=", "#", "def", "frob",
+]
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=1000,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    theory=st.sampled_from(["S", "Tr", "B", "G", "Tgs"]),
+    locs=st.sampled_from(["", "locs x\n", "locs x y\n", "locs a:b y\n"]),
+    words=st.lists(st.sampled_from(TERM_WORDS), max_size=16),
+)
+def test_fuzzed_term_files_fail_cleanly(tmp_path, capsys, theory, locs, words):
+    sorts = ("hold", "cede") if theory in ("S", "Tr") else ("star", "star")
+    path = tmp_path / "fuzz.talg"
+    path.write_text(
+        f"theory {theory}\n{locs}var a : {sorts[0]}\nvar b : {sorts[1]}\n"
+        f"def t = {' '.join(words)}\n"
+    )
+    try:
+        parse_file(str(path))
+    except ParseError:
+        capsys.readouterr()
+        assert main(["denote", str(path), "t"]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \d+:\d+: [^\n]+\n", err)

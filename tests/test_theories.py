@@ -7,6 +7,8 @@ from tracealg import (
     HOLD,
     STAR,
     App,
+    Signature,
+    SortMismatch,
     StoreSpace,
     Var,
     app,
@@ -116,6 +118,14 @@ def test_le_encoding_trivial_case(shared):
     sig = shared.signature
     x = Var("x", CEDE)
     assert encode_inequation(sig, x, x, "le") == (join(sig, CEDE, (x, x)), x)
+
+
+def test_inequation_on_a_sort_without_join_is_a_sort_mismatch():
+    sig = Signature(frozenset({STAR}), {})
+    x = Var("x", STAR)
+    for direction in ("le", "ge"):
+        with pytest.raises(SortMismatch, match="carries no join"):
+            encode_inequation(sig, x, x, direction)
 
 
 def test_mumble_encoding(space):
