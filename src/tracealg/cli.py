@@ -38,11 +38,11 @@ from .checker import (
     validate_axioms,
 )
 from .kernel import (
+    App,
     RawTree,
     Sort,
     Term,
     TermError,
-    Var,
     check_sort,
 )
 from .model import par
@@ -183,6 +183,8 @@ def parse_file(path: str) -> TermFile:
         elif head == "var":
             if len(words) != 4 or words[2] != ":" or words[3] not in SORT_NAMES:
                 raise ParseError("usage: var NAME : hold|cede|star", lno, 1)
+            if words[1] == "bot" or "(" in words[1] or ")" in words[1]:
+                raise ParseError(f"no term can refer to a variable named {words[1]!r}", lno, 1)
             var_lines.append((lno, words[1], words[3]))
         elif head == "def":
             if len(words) < 4 or words[2] != "=":
@@ -262,13 +264,23 @@ def _space_from_locations(
 
 def term_to_sexpr(t: Term, theory: Presentation) -> str:
     """The concrete syntax of ``t``; ``_parse_sexpr`` reads it back."""
-    if isinstance(t, Var):
-        return t.name
-    args = "".join(" " + term_to_sexpr(a, theory) for a in t.args)
-    spelling = _syntax(theory.name, theory.space.locations)[1].get(t.op)
-    if spelling is None:  # a join
-        return f"(or{args})" if args else "bot"
-    return f"({spelling}{args})"
+    # words leave an explicit stack in order: a string per subterm would
+    # take space quadratic in the depth
+    spelled = _syntax(theory.name, theory.space.locations)[1]
+    out: list[str] = []
+    stack: list[Term | str] = [t]
+    while stack:
+        n = stack.pop()
+        if not isinstance(n, App):
+            out.append(n if isinstance(n, str) else n.name)
+        elif not n.args and n.op not in spelled:  # the empty join
+            out.append("bot")
+        else:
+            out.append("(" + spelled.get(n.op, "or"))
+            stack.append(")")
+            for a in reversed(n.args):
+                stack += (a, " ")
+    return "".join(out)
 
 
 def traceset_json(K: TraceSet) -> list[dict]:

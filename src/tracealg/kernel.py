@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar, Union
 
 
 class Sort(str, Enum):
@@ -143,6 +143,8 @@ class Signature:
             for name in names:
                 if name not in self.operators:
                     raise ValueError(f"alias {alias} points at unknown operator {name}")
+            if len({self.operators[name].result for name in names}) != len(names):
+                raise ValueError(f"alias {alias} names two operators of one sort")
 
     def candidates(self, name: str) -> tuple[Operator, ...]:
         if name in self.operators:
@@ -176,6 +178,8 @@ Term = Union[Var, App]
 RawTree = Union[str, tuple]
 
 Substitution = Mapping[str, Term]
+
+R = TypeVar("R")
 
 
 def app(sig: Signature, name: str, *args: Term) -> App:
@@ -213,26 +217,32 @@ def check_sort(
 
     Strings are variables; tuples are ``(operator, *children)``.  When a name
     is an alias for several operators the sort is resolved from ``expected``
-    or inferred from the first argument; a bare empty join in a multi-sorted
-    signature is ambiguous and rejected.
+    or inferred from the first argument that resolves on its own; a bare
+    empty join in a multi-sorted signature is ambiguous and rejected.
     """
 
-    def walk(node: RawTree, want: Sort | None, path: tuple[int, ...]) -> Term:
+    # ``walk`` yields ``(child, sort, index)`` where it would recurse and is
+    # sent the child's term; the loop below runs the walks on an explicit
+    # stack and adds an error's path as the error unwinds it.  A probed
+    # child keeps its term: an alias's candidates differ in sort
+    # (``Signature``), so a second walk at that sort would build the same.
+    def walk(node: RawTree, want: Sort | None) -> Iterator:
         if isinstance(node, str):
             if node not in ctx:
-                raise UnknownVariable(f"variable {node!r} not in context", path)
+                raise UnknownVariable(f"variable {node!r} not in context")
             sort = ctx[node]
             if want is not None and sort is not want:
                 raise SortMismatch(
-                    f"variable {node!r} has sort {sort.value}, expected {want.value}", path
+                    f"variable {node!r} has sort {sort.value}, expected {want.value}"
                 )
             return Var(node, sort)
         if not isinstance(node, (tuple, list)) or not node or not isinstance(node[0], str):
-            raise UnknownOperator(f"malformed node {node!r}", path)
+            raise UnknownOperator(f"malformed node {node!r}")
         name, children = node[0], tuple(node[1:])
         ops = sig.candidates(name)
         if not ops:
-            raise UnknownOperator(f"unknown operator {name!r}", path)
+            raise UnknownOperator(f"unknown operator {name!r}")
+        args: list[Term | None] = [None] * len(children)
         if len(ops) > 1:
             if want is not None:
                 ops = tuple(op for op in ops if op.result is want)
@@ -240,45 +250,60 @@ def check_sort(
                 # infer from the first argument that resolves on its own
                 for i, child in enumerate(children):
                     try:
-                        probe = walk(child, None, path + (i,))
+                        args[i] = yield child, None, i
                     except AmbiguousSort:
                         continue
-                    ops = tuple(
-                        op for op in ops if op.scheme(len(children))[i : i + 1] == (probe.sort,)
-                    )
+                    sort = args[i].sort
+                    ops = tuple(op for op in ops if op.scheme(len(children))[i : i + 1] == (sort,))
                     break
             if len(ops) != 1:
                 raise AmbiguousSort(
-                    f"cannot resolve the sort of {name!r} here; annotate via an enclosing operator",
-                    path,
+                    f"cannot resolve the sort of {name!r} here; annotate via an enclosing operator"
                 )
         op = ops[0]
         if want is not None and op.result is not want:
             raise SortMismatch(
-                f"operator {name!r} has sort {op.result.value}, expected {want.value}", path
+                f"operator {name!r} has sort {op.result.value}, expected {want.value}"
             )
         if not op.accepts_arity(len(children)):
             raise ArityMismatch(
-                f"operator {name!r} expects {len(op.args)} arguments, got {len(children)}", path
+                f"operator {name!r} expects {len(op.args)} arguments, got {len(children)}"
             )
         scheme = op.scheme(len(children))
-        args = tuple(
-            walk(child, scheme[i], path + (i,)) for i, child in enumerate(children)
-        )
-        return App(op.name, args, op.result)
+        for i, child in enumerate(children):
+            if args[i] is None:
+                args[i] = yield child, scheme[i], i
+        return App(op.name, tuple(args), op.result)
 
-    return walk(raw, expected, ())
+    # each entry: a running walk and the node's index in its parent
+    stack: list[tuple[Iterator, int]] = [(walk(raw, expected), 0)]
+    reply: Term | TermError | None = None  # what the top walk is sent, or thrown
+    trail: list[int] = []  # the indices an unwinding error has left, innermost first
+    while True:
+        gen = stack[-1][0]
+        try:
+            child, want, i = gen.throw(reply) if isinstance(reply, TermError) else gen.send(reply)
+        except StopIteration as done:
+            stack.pop()
+            reply = done.value
+            if not stack:
+                return reply
+        except TermError as exc:
+            if exc is not reply:
+                trail = []
+            i = stack.pop()[1]
+            if not stack:
+                raise type(exc)(exc.args[0], trail[::-1]) from None
+            trail.append(i)
+            reply = exc
+        else:
+            stack.append((walk(child, want), i))
+            reply = None
 
 
 def free_vars(t: Term) -> dict[str, Sort]:
     out: dict[str, Sort] = {}
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out[node.name] = node.sort
-        else:
-            stack.extend(node.args)
+    fold(t, lambda v: out.setdefault(v.name, v.sort), lambda node, args: None)
     return out
 
 
@@ -291,28 +316,18 @@ def substitute(t: Term, theta: Substitution) -> Term:
 
     Aliased subterms are rewritten once and stay aliased in the result.
     """
-    memo: dict[int, Term] = {}
 
-    def walk(node: Term) -> Term:
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
-        if isinstance(node, Var):
-            if node.name not in theta:
-                raise MissingBinding(f"no binding for variable {node.name!r}")
-            image = theta[node.name]
-            if image.sort is not node.sort:
-                raise SortMismatch(
-                    f"binding for {node.name!r} has sort {image.sort.value}, "
-                    f"expected {node.sort.value}"
-                )
-            out: Term = image
-        else:
-            out = App(node.op, tuple(walk(a) for a in node.args), node.sort)
-        memo[id(node)] = out
-        return out
+    def var(v: Var) -> Term:
+        if v.name not in theta:
+            raise MissingBinding(f"no binding for variable {v.name!r}")
+        image = theta[v.name]
+        if image.sort is not v.sort:
+            raise SortMismatch(
+                f"binding for {v.name!r} has sort {image.sort.value}, expected {v.sort.value}"
+            )
+        return image
 
-    return walk(t)
+    return fold(t, var, lambda node, args: App(node.op, args, node.sort))
 
 
 def compose_substitutions(theta: Substitution, theta2: Substitution) -> dict[str, Term]:
@@ -333,29 +348,37 @@ class Algebra:
         raise NotImplementedError
 
 
+def fold(t: Term, var: Callable[[Var], R], node: Callable[[App, tuple], R]) -> R:
+    """Fold ``t`` bottom up: ``var`` at each variable and ``node`` at each
+    application with its arguments' results, left to right, memoized per node
+    identity so that a subterm that substitution shares is folded once."""
+    # an explicit stack instead of recursion, so that any depth folds
+    memo: dict[int, R] = {}
+    stack: list = [t]  # nodes to fold, and (node,) once its arguments are folded
+    while stack:
+        n = stack.pop()
+        if type(n) is tuple:
+            n = n[0]
+            memo[id(n)] = node(n, tuple([memo[id(a)] for a in n.args]))
+        elif id(n) not in memo:
+            if isinstance(n, Var):
+                memo[id(n)] = var(n)
+            else:
+                stack.append((n,))
+                stack += reversed(n.args)
+    return memo[id(t)]
+
+
 def evaluate(alg: Algebra, env: Mapping[str, object], t: Term) -> object:
-    """Structural fold: variables via env, applications via alg's operations.
+    """Structural fold: variables via env, applications via alg's operations."""
+    ops = alg.signature.operators
 
-    Substitution shares subterm objects, so results are memoized per node
-    identity; an aliased subterm is folded once.
-    """
-    memo: dict[int, object] = {}
+    def var(v: Var) -> object:
+        if v.name not in env:
+            raise MissingBinding(f"no environment value for variable {v.name!r}")
+        return env[v.name]
 
-    def walk(node: Term) -> object:
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
-        if isinstance(node, Var):
-            if node.name not in env:
-                raise MissingBinding(f"no environment value for variable {node.name!r}")
-            value = env[node.name]
-        else:
-            op = alg.signature.operators[node.op]
-            value = alg.apply(op, tuple(walk(a) for a in node.args))
-        memo[id(node)] = value
-        return value
-
-    return walk(t)
+    return fold(t, var, lambda node, args: alg.apply(ops[node.op], args))
 
 
 class TermAlgebra(Algebra):

@@ -202,12 +202,6 @@ class StoreSpace:
         ``steps[step ^ pre_mask(loc)]`` is ``step`` with that bit flipped."""
         return self.mask(loc) << len(self.locations)
 
-    def index(self, location: str) -> int:
-        try:
-            return self.locations.index(location)
-        except ValueError:
-            raise KeyError(f"unknown location {location!r}") from None
-
     def parse_store(self, text: str) -> Store:
         if len(text) != len(self.locations) or any(c not in "01" for c in text):
             raise ValueError(

@@ -44,6 +44,7 @@ from .kernel import (
     VarContext,
     app,
     bottom,
+    fold,
     join,
     substitute,
 )
@@ -476,25 +477,13 @@ class Translation:
 
 
 def apply_translation(tr: Translation, t: Term) -> Term:
-    memo: dict[int, Term] = {}
+    def node(n: App, args: tuple[Term, ...]) -> Term:
+        image = tr.op_images.get(n.op)
+        if image is None:
+            return tr._unlisted(n.op, args)
+        return substitute(image, {f"x{i}": arg for i, arg in enumerate(args)})
 
-    def walk(node: Term) -> Term:
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
-        if isinstance(node, Var):
-            out: Term = Var(node.name, tr.sort_map[node.sort])
-        else:
-            translated = tuple(walk(a) for a in node.args)
-            image = tr.op_images.get(node.op)
-            if image is None:
-                out = tr._unlisted(node.op, translated)
-            else:
-                out = substitute(image, {f"x{i}": arg for i, arg in enumerate(translated)})
-        memo[id(node)] = out
-        return out
-
-    return walk(t)
+    return fold(t, lambda v: Var(v.name, tr.sort_map[v.sort]), node)
 
 
 def translate_context(tr: Translation, ctx: VarContext) -> dict[str, Sort]:

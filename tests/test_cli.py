@@ -101,10 +101,13 @@ def test_parse_error_reports_position(tmp_path):
         ("theory S\nvar x : cede\n\ndef t = (acq (rel z))\n", 4),
         ("theory S\nvar x : cede\ndef t = (acq x)\n", 3),
         ("theory S\nlocs x y x\nvar x : cede\ndef t = x\n", 2),
+        ("theory S\nvar bot : cede\ndef t = (acq (rel bot))\n", 2),
+        ("theory S\nvar (x : cede\ndef t = (acq (rel x))\n", 2),
     ],
 )
 def test_parse_error_names_the_directive_line(tmp_path, capsys, text, line):
-    # sort errors on a def line and duplicate locations on the locs line
+    # sort errors on a def line, duplicate locations on the locs line, and
+    # variable names that no term can spell on the var line
     path = tmp_path / "bad.talg"
     path.write_text(text)
     with pytest.raises(ParseError) as err:
@@ -304,15 +307,32 @@ def test_var_sort_missing_from_theory(tmp_path, capsys, text):
     assert main(["eq", str(path), "t", "t"]) == 2
 
 
-def test_internal_error_exits_2(tmp_path, capsys):
-    # this depth exhausts the recursion of the term walks; the resulting
-    # RecursionError must not leave through exit 1, which means "refuted"
-    depth = 400
+def test_internal_error_exits_2(ex17, capsys, monkeypatch):
+    # an internal failure must not leave through exit 1, which means "refuted"
+    def broken(args):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr("tracealg.cli.cmd_eq", broken)
+    assert main(["eq", ex17, "irie_lhs", "irie_rhs"]) == 2
+    assert capsys.readouterr().err == "error: RuntimeError: first line\n"
+
+
+def test_deep_terms_decide(tmp_path, capsys):
+    depth = 2_000
     path = tmp_path / "deep.talg"
-    path.write_text(f"theory S\nvar x : cede\ndef t = {'(acq (rel ' * depth}x{'))' * depth}\n")
-    assert main(["eq", str(path), "t", "t"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    path.write_text(
+        f"theory S\nvar x : cede\ndef t = {'(acq (rel ' * depth}x{'))' * depth}\ndef x = x\n"
+    )
+    assert main(["eq", str(path), "t", "x"]) == 0
+    assert capsys.readouterr().out == "holds\n"
+    assert main(["denote", str(path), "x"]) == 0
+    shallow = capsys.readouterr().out
+    assert main(["denote", str(path), "t"]) == 0
+    assert capsys.readouterr().out == shallow
+    assert main(["translate", str(path), "t", "--from", "S", "--to", "Tr"]) == 0
+    printed = capsys.readouterr().out
+    tr = build("Tr")
+    assert term_to_sexpr(parse_term(printed, tr, {"x": CEDE}), tr) + "\n" == printed
 
 
 def test_denote_covers_tgs(tmp_path, capsys):
