@@ -30,7 +30,6 @@ from .kernel import (
     identity_substitution,
     join,
     substitute,
-    term_algebra,
 )
 from .store import Store, StoreSpace, Transition
 from .theories import (

@@ -3,10 +3,11 @@
 Equality and refinement in each theory are decided by evaluating both terms
 in the theory's free model with the returning environment and comparing the
 results; refinement is inclusion.  ``FREE_MODELS`` says which free model
-reads each theory and through which translation.  ``denote`` covers S, Tr,
-B, G and Tgs; J and V have no trace model.  Axiom validation samples random
-model elements for the variables: the mathematics guarantees the axioms, so
-these suites guard the implementation of the models.
+reads each theory and, for Tgs alone, through which translation: S and Tr
+are each read in their own signature.  ``denote`` covers S, Tr, B, G and
+Tgs; J and V have no trace model.  Axiom validation samples random model
+elements for the variables: the mathematics guarantees the axioms, so these
+suites guard the implementation of the models.
 """
 
 from __future__ import annotations
@@ -146,8 +147,10 @@ def _space(space: StoreSpace | None) -> StoreSpace:
 
 
 # Each theory is read in the free model of a base theory (J, V, G, S or B),
-# directly or through the built-in translation named here.  Entries are names,
-# not functions, so that the traced benchmark's rebinding reaches every call.
+# directly or through the built-in translation named here: Tr's operators are
+# ``TraceAlgebra`` operations, while Tgs goes through ``E_G`` into G.  Entries
+# are names, not functions, so that the traced benchmark's rebinding reaches
+# every call.
 FREE_MODELS: dict[str, tuple[str, str | None]] = {
     "J": ("J", None),
     "V": ("V", None),
@@ -155,7 +158,7 @@ FREE_MODELS: dict[str, tuple[str, str | None]] = {
     "S": ("S", None),
     "B": ("B", None),
     "Tgs": ("G", "E_G"),
-    "Tr": ("S", "E_TrS"),
+    "Tr": ("S", None),
 }
 
 # The base models whose elements read as closed trace sets.
@@ -180,7 +183,9 @@ def denote(theory: str, ctx: Mapping[str, Sort], t: Term, space: StoreSpace | No
         ctx, t = translate_context(tr, ctx), apply_translation(tr, t)
     if base == "S":
         env = {name: unit(space, sort, name) for name, sort in ctx.items()}
-        return canonicalize(evaluate(TraceAlgebra(space), env, t))
+        # S and Tr, each untranslated and read in its own signature
+        alg = TraceAlgebra(space, build(theory, space).signature)
+        return canonicalize(evaluate(alg, env, t))
     if base == "B":
         alg = BrookesAlgebra(space)
         return canonicalize(evaluate(alg, {name: alg.unit(name) for name in ctx}, t))
@@ -324,13 +329,8 @@ def random_term(
 class SetAlgebra(Algebra):
     """Finite powersets with union: the free model of the join theories."""
 
-    def __init__(self, signature):
-        self.signature = signature
-
-    def apply(self, op: Operator, args: tuple) -> frozenset:
-        if op.kind == "join":
-            return frozenset().union(*args) if args else frozenset()
-        raise NotImplementedError(f"no set interpretation for {op.name}")
+    def join(self, sort: Sort, args: Sequence[frozenset]) -> frozenset:
+        return frozenset().union(*args)
 
 
 _VALUE_CTX = {"u": HOLD, "v": CEDE}
@@ -357,7 +357,7 @@ def _validate_instances(
         alg = BrookesAlgebra(space)
         sample = lambda sort: random_brookes_set(space, ("u", "v"), cfg, rng)
     else:
-        alg = TraceAlgebra(space)
+        alg = TraceAlgebra(space, build(theory, space).signature)
         sample = lambda sort: random_closed_set(space, sort, _VALUE_CTX, cfg, rng)
     same = equal if base in ("S", "B") else operator.eq
     report = Report(title)
@@ -526,7 +526,7 @@ def run_nogo2(depth: int = 3, space: StoreSpace | None = None) -> Report:
             for K1 in prev:
                 for loc in range(len(space.locations)):
                     add(alg.read(loc, K0, K1))
-                add(alg.join((K0, K1)))
+                add(alg.join(STAR, (K0, K1)))
         if not fresh:
             break
     report = Report(f"single-cell witnesses over read/write/union programs to depth {depth}")

@@ -336,16 +336,25 @@ def compose_substitutions(theta: Substitution, theta2: Substitution) -> dict[str
 
 
 class Algebra:
-    """An interpretation of a signature: one operation per operator.
+    """An interpretation of a signature: one method per operator kind.
 
-    Carriers are implicit (whatever ``apply`` consumes and produces, sorted
-    by convention); operations must respect the operator's scheme.
+    ``apply`` calls the method that ``op.kind`` names, a join with its
+    result sort and argument tuple, any other operator with its ``params``
+    and then its arguments.  Carriers are implicit, sorted by convention.
     """
 
-    signature: Signature
+    def __init__(self, signature: Signature):
+        self.signature = signature
 
     def apply(self, op: Operator, args: tuple) -> object:
-        raise NotImplementedError
+        method = getattr(self, op.kind, None)
+        if method is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} has no {op.kind} operation for {op.name}"
+            )
+        if op.kind == "join":
+            return method(op.result, args)
+        return method(*op.params, *args)
 
 
 def fold(t: Term, var: Callable[[Var], R], node: Callable[[App, tuple], R]) -> R:
@@ -382,16 +391,10 @@ def evaluate(alg: Algebra, env: Mapping[str, object], t: Term) -> object:
 
 
 class TermAlgebra(Algebra):
-    """Terms as their own algebra: every operation is the term constructor."""
+    """Terms as their own algebra: every operation is the term constructor.
 
-    def __init__(self, signature: Signature, ctx: VarContext | None = None):
-        self.signature = signature
-        self.ctx = dict(ctx) if ctx else {}
+    Evaluating here with a substitution as environment is substitution.
+    """
 
     def apply(self, op: Operator, args: tuple) -> Term:
         return App(op.name, tuple(args), op.result)
-
-
-def term_algebra(sig: Signature, ctx: VarContext | None = None) -> TermAlgebra:
-    """Evaluating here with a substitution as environment is substitution."""
-    return TermAlgebra(sig, ctx)

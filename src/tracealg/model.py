@@ -1,13 +1,14 @@
 """Free models over closed trace sets, and the state-function model.
 
-``TraceAlgebra`` interprets the two-sorted shared-state signature (and the
-two-sorted transition signature) on finitely generated closed trace sets;
-``BrookesAlgebra`` interprets the single-sorted transition signature on the
-cede fragment of the same sets, cede-sorted sets whose generators cede at
-their value, and shares join, unit and extension with ``TraceAlgebra``;
+``TraceAlgebra`` interprets the two-sorted signatures, shared state (S) and
+transitions (Tr), on finitely generated closed trace sets; ``BrookesAlgebra``
+interprets the single-sorted transition signature on the cede fragment of
+the same sets, cede-sorted sets whose generators cede at their value, and
+shares join, unit and extension with ``TraceAlgebra``;
 ``GTableAlgebra`` interprets nondeterministic global state as store
-functions.  All operations work on generators and are exact for the denoted
-closures, a fact the oracle tests pin down.
+functions.  Each model names its operations after the operator kinds, and
+``Algebra.apply`` dispatches to them.  All operations work on generators
+and are exact for the denoted closures, a fact the oracle tests pin down.
 
 Stores and steps are ints (see ``store``): the operations test a location
 with ``space.mask`` or ``space.pre_mask``, read a step's stores from
@@ -58,7 +59,9 @@ def unit(space: StoreSpace, sort: Sort, value: str) -> TraceSet:
 
 
 class TraceAlgebra(Algebra):
-    """Closed trace sets as a model of the two-sorted signatures.
+    """Closed trace sets as a model of the two-sorted signatures, S (the
+    default ``signature``) and Tr: each reads the operators of its own
+    signature, so a Tr term needs no translation into S.
 
     Acquire relabels generators to the ceding start sort (front stutters are
     then recovered by closure); release emits each generator both bare and
@@ -72,21 +75,6 @@ class TraceAlgebra(Algebra):
     def __init__(self, space: StoreSpace, signature: Signature | None = None):
         self.space = space
         self.signature = signature or build("S", space).signature
-
-    def apply(self, op: Operator, args: tuple) -> TraceSet:
-        if op.kind == "join":
-            return self.join(op.result, args)
-        if op.kind == "update":
-            return self.update(*op.params, args[0])
-        if op.kind == "lookup":
-            return self.lookup(*op.params, args[0], args[1])
-        if op.kind == "acquire":
-            return self.acquire(args[0])
-        if op.kind == "release":
-            return self.release(args[0])
-        if op.kind == "transition":
-            return self.transition(*op.params, args[0])
-        raise NotImplementedError(f"no trace interpretation for {op.name}")
 
     def join(self, sort: Sort, args: Sequence[TraceSet]) -> TraceSet:
         gens: set[Trace] = set()
@@ -151,9 +139,9 @@ class TraceAlgebra(Algebra):
         return TraceSet._built(HOLD, gens)
 
     def transition(self, pre: Store, post: Store, K: TraceSet) -> TraceSet:
-        """Assert the store is ``pre`` and move it to ``post``; used by the
-        two-sorted transition signature, and agrees with translating the
-        transition into assert/update blocks.
+        """Assert the store is ``pre`` and move it to ``post``: Tr's
+        operator, which agrees with translating the transition into S's
+        assert/update blocks (``E_TrS``).
 
         Works on generators: the first transition of a hold-sorted trace
         keeps its source store under all sorted deductions, so rewriting the
@@ -174,9 +162,6 @@ class TraceAlgebra(Algebra):
 
     def unit(self, sort: Sort, value: str) -> TraceSet:
         return unit(self.space, sort, value)
-
-    def kleisli(self, env: Mapping[str, TraceSet], K: TraceSet) -> TraceSet:
-        return kleisli(env, K)
 
     @staticmethod
     def _expect(K: TraceSet, sort: Sort) -> None:
@@ -258,18 +243,12 @@ class BrookesAlgebra(Algebra):
     the extension are the two-sorted ones at the cede sort.
     """
 
-    def __init__(self, space: StoreSpace, signature: Signature | None = None):
+    def __init__(self, space: StoreSpace):
         self.space = space
-        self.signature = signature or build("B", space).signature
+        self.signature = build("B", space).signature
 
-    def apply(self, op: Operator, args: tuple) -> TraceSet:
-        if op.kind == "join":
-            return self.join(args)
-        if op.kind == "transition":
-            return self.transition(*op.params, args[0])
-        raise NotImplementedError(f"no brookes interpretation for {op.name}")
-
-    def join(self, args: Sequence[TraceSet]) -> TraceSet:
+    def join(self, sort: Sort, args: Sequence[TraceSet]) -> TraceSet:
+        # the signature's one sort is the cede sort of the carrier
         return TraceAlgebra.join(self, CEDE, args)
 
     def transition(self, pre: Store, post: Store, K: TraceSet) -> TraceSet:
@@ -450,33 +429,27 @@ def gtable_to_traceset(space: StoreSpace, table: GTable) -> TraceSet:
 class GTableAlgebra(Algebra):
     """Global state interpreted as nondeterministic store functions."""
 
-    def __init__(self, space: StoreSpace, signature: Signature | None = None):
+    def __init__(self, space: StoreSpace):
         self.space = space
-        self.signature = signature or build("G", space).signature
+        self.signature = build("G", space).signature
 
     def apply(self, op: Operator, args: tuple) -> GTable:
-        if op.kind == "join":
-            rows = tuple(
-                frozenset().union(*(k.rows[i] for k in args)) if args else frozenset()
-                for i in range(len(self.space.stores))
-            )
-            return GTable(rows)
-        # a store is its own row index
-        if op.kind == "update":
-            loc, bit = op.params
-            (k,) = args
-            mask = self.space.mask(loc)
-            rows = k.rows
-            return GTable(
-                tuple(rows[s | mask if bit else s & ~mask] for s in range(len(rows)))
-            )
-        if op.kind == "lookup":
-            (loc,) = op.params
-            k0, k1 = args
-            mask = self.space.mask(loc)
-            return GTable(
-                tuple(
-                    (k1 if s & mask else k0).rows[s] for s in range(len(self.space.stores))
-                )
-            )
-        raise NotImplementedError(f"no state-function interpretation for {op.name}")
+        # ``bench/tracer.py`` wraps this name for its ``model.gtable`` span,
+        # so every operation of the model passes through a method of its own
+        return Algebra.apply(self, op, args)
+
+    def join(self, sort: Sort, args: Sequence[GTable]) -> GTable:
+        stores = range(len(self.space.stores))
+        return GTable(tuple(frozenset().union(*(k.rows[s] for k in args)) for s in stores))
+
+    # a store is its own row index
+    def update(self, loc: int, bit: int, k: GTable) -> GTable:
+        mask = self.space.mask(loc)
+        rows = k.rows
+        return GTable(tuple(rows[s | mask if bit else s & ~mask] for s in range(len(rows))))
+
+    def lookup(self, loc: int, k0: GTable, k1: GTable) -> GTable:
+        mask = self.space.mask(loc)
+        return GTable(
+            tuple((k1 if s & mask else k0).rows[s] for s in range(len(self.space.stores)))
+        )

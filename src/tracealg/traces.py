@@ -166,6 +166,8 @@ def step_deductions(t: Trace, discipline: str, space: StoreSpace) -> frozenset[T
     Under ``SORTED`` an end stutter needs a ceding sort at that end; under
     ``BROOKES`` both ends accept one unconditionally.
     """
+    if discipline not in (SORTED, BROOKES):
+        raise ValueError(f"unknown discipline {discipline!r}; expected {SORTED!r} or {BROOKES!r}")
     front_ok = discipline == BROOKES or t.start is CEDE
     back_ok = discipline == BROOKES or t.value_sort is CEDE
     out: set[Trace] = set()

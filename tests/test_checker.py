@@ -136,17 +136,26 @@ def test_denote_overview_term():
 
 
 def test_denote_tr_agrees_with_direct_interpretation():
-    p = build("Tr", SP)
-    rng = random.Random(20)
-    ctx = {"a": HOLD, "b": CEDE}
-    direct_alg = TraceAlgebra(SP, p.signature)
-    for _ in range(40):
-        sort = rng.choice((HOLD, CEDE))
-        t = random_term(p, ctx, sort, 3, rng)
-        via_translation = denote("Tr", ctx, t, SP)
-        env = {name: unit(SP, s, name) for name, s in ctx.items()}
-        direct = evaluate(direct_alg, env, t)
-        assert equal(via_translation, direct)
+    # Tr is read in its own signature; its translation into S must give the
+    # same canonical generators, and the same verdicts and witnesses
+    holds = 0
+    for n in (1, 2, 3):
+        space = StoreSpace(("x", "y", "z")[:n])
+        p = build("Tr", space)
+        e_trs = builtin_translations(space)["E_TrS"]
+        rng = random.Random(f"tr-direct-{n}")
+        ctx = {"a": HOLD, "b": CEDE}
+        s_ctx = translate_context(e_trs, ctx)
+        for i in range(80):
+            sort, depth = (HOLD, CEDE)[i % 2], 3 + i % 3
+            t1, t2 = random_term(p, ctx, sort, depth, rng), random_term(p, ctx, sort, depth, rng)
+            s1, s2 = apply_translation(e_trs, t1), apply_translation(e_trs, t2)
+            assert denote("Tr", ctx, t1, space) == denote("S", s_ctx, s1, space), (n, i)
+            for decide in (check_equal, check_refines):
+                verdict = decide("Tr", ctx, t1, t2, space)
+                assert verdict == decide("S", s_ctx, s1, s2, space), (n, i, decide.__name__)
+                holds += verdict.holds
+    assert 0 < holds < 480
 
 
 def test_denote_B_stutter_prefix_refines_return():
@@ -323,14 +332,39 @@ def test_write_encoding_matches_brookes_write():
 
 
 def test_strictness_of_every_operator():
-    # applying any operator to empty sets yields the empty set
-    from tracealg import TraceAlgebra, sorted_set
+    # in every theory's free model, applying any operator to empty elements
+    # yields the empty element; Tgs is read through E_G, each operator as
+    # its image in G.  An operator of a kind the model lacks is refused.
+    from tracealg import GTable, Operator, brookes_set
 
-    alg = TraceAlgebra(SP)
-    for op in SIG.operators.values():
-        arity = 1 if op.variadic else len(op.args)
-        args = tuple(sorted_set(s, []) for s in op.scheme(arity))
-        assert alg.apply(op, args).is_empty()
+    for space in (StoreSpace(("x",)), StoreSpace(("x", "y")), StoreSpace(("x", "y", "z"))):
+        no_rows = GTable((frozenset(),) * len(space.stores))
+        no_traces = lambda sort: sorted_set(sort, [])
+        models = {
+            "S": (TraceAlgebra(space), no_traces),
+            "Tr": (TraceAlgebra(space, build("Tr", space).signature), no_traces),
+            "B": (BrookesAlgebra(space), lambda sort: brookes_set([])),
+            "G": (GTableAlgebra(space), lambda sort: no_rows),
+            "Tgs": (GTableAlgebra(space), lambda sort: no_rows),
+            "J": (SetAlgebra(build("J", space).signature), lambda sort: frozenset()),
+            "V": (SetAlgebra(build("V", space).signature), lambda sort: frozenset()),
+        }
+        assert set(models) == set(THEORY_NAMES)
+        e_g = builtin_translations(space)["E_G"]
+        for theory, (alg, empty) in models.items():
+            for op in build(theory, space).signature.operators.values():
+                for arity in (0, 1, 2) if op.variadic else (len(op.args),):
+                    scheme = op.scheme(arity)
+                    if theory == "Tgs":
+                        env = {f"x{i}": empty(s) for i, s in enumerate(scheme)}
+                        got = evaluate(alg, env, e_g.image(op.name, arity))
+                    else:
+                        got = alg.apply(op, tuple(empty(s) for s in scheme))
+                    assert got == empty(op.result), (theory, op.name, arity)
+            sort = next(iter(alg.signature.sorts))
+            odd = Operator("frob", sort, (sort,), kind="frobnicate")
+            with pytest.raises(NotImplementedError, match=f"{type(alg).__name__} .*frobnicate.*frob"):
+                alg.apply(odd, (empty(sort),))
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +502,8 @@ def _random_context(theory):
 
 def test_free_models_name_every_theory():
     assert tuple(FREE_MODELS) == THEORY_NAMES
+    # only Tgs is read through a translation
+    assert {theory for theory, (_, via) in FREE_MODELS.items() if via} == {"Tgs"}
     # the join theories have no trace model, and unknown names no model at all
     for theory in ("J", "V", "Q"):
         with pytest.raises(UnknownTheory):
@@ -512,7 +548,9 @@ def test_validation_reports_match_reference(theory, space):
 @pytest.mark.parametrize("space", SPACES, ids=lambda sp: f"{len(sp.locations)}loc")
 @pytest.mark.parametrize("theory", ["Tr", "Tgs"])
 def test_translated_instances_evaluate_to_equal_values(theory, space):
-    base, via = FREE_MODELS[theory]
+    # Tr is read directly, Tgs through E_G; both translations must agree
+    # with the operator-by-operator view of the base model
+    base, via = {"Tr": ("S", "E_TrS"), "Tgs": ("G", "E_G")}[theory]
     tr = builtin_translations(space)[via]
     rng = random.Random(f"values-{theory}")
     alg, sample, _eq = instance_checker_reference(base, space, SampleConfig(), rng)

@@ -21,7 +21,6 @@ from tracealg import (
     identity_substitution,
     join,
     substitute,
-    term_algebra,
 )
 from tracealg.checker import SetAlgebra, random_term
 from tracealg.kernel import TermAlgebra, compose_substitutions
@@ -143,7 +142,7 @@ def test_term_algebra_evaluation_is_substitution(shared):
     ctx = {"x": CEDE}
     t = check_sort(sig, ctx, ("acq", ("lkp:y", ("rel", "x"), ("rel", "x"))))
     theta = {"x": check_sort(sig, ctx, ("acq", ("upd:x:1", ("rel", "x"))))}
-    alg = term_algebra(sig, ctx)
+    alg = TermAlgebra(sig)
     assert evaluate(alg, theta, t) == substitute(t, theta)
     assert evaluate(alg, identity_substitution(ctx), t) == t
 
@@ -151,7 +150,7 @@ def test_term_algebra_evaluation_is_substitution(shared):
 def test_term_algebra_constructor_case():
     p = build("G")
     sig = p.signature
-    alg = term_algebra(sig)
+    alg = TermAlgebra(sig)
     rng = random.Random(3)
     ctx = {"a": STAR, "b": STAR}
     for _ in range(30):

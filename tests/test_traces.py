@@ -151,6 +151,16 @@ def test_unfusable_adjacent_transitions_do_not_mumble():
     assert all(len(s.steps) != 1 for s in succ)
 
 
+@pytest.mark.parametrize("discipline", ["Brookes", "sorted ", "lenient", None])
+def test_unknown_discipline_is_rejected(discipline):
+    # a misspelled rule must not fall back to the sorted one
+    t = mk(CEDE, [("11", "00")], CEDE)
+    with pytest.raises(ValueError, match="unknown discipline"):
+        step_deductions(t, discipline, SP)
+    with pytest.raises(ValueError, match="unknown discipline"):
+        closure_bounded([t], discipline, SP, 2)
+
+
 # ---------------------------------------------------------------------------
 # The bounded-closure oracle
 
