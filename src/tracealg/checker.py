@@ -290,9 +290,9 @@ def random_term(
     sort: Sort,
     depth: int,
     rng: random.Random,
-    max_join_arity: int = 3,
 ) -> Term:
-    """A random well-sorted term over the presentation's signature."""
+    """A random well-sorted term over the presentation's signature; a join
+    draws 0 to 3 arguments."""
     sig = p.signature
     by_sort: dict[Sort, list[str]] = {}
     for name, s in ctx.items():
@@ -315,7 +315,7 @@ def random_term(
             return Var(rng.choice(names), want)
         op = rng.choice(ops_by_sort[want])
         if op.variadic:
-            arity = rng.randint(0, max_join_arity)
+            arity = rng.randint(0, 3)
             return App(op.name, tuple(gen(op.args[0], depth - 1) for _ in range(arity)), op.result)
         return App(op.name, tuple(gen(s, depth - 1) for s in op.args), op.result)
 

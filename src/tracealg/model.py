@@ -49,9 +49,6 @@ from .traces import (
     member,
 )
 
-# Acquire canonicalizes results with more generators than this.
-CANONICAL_THRESHOLD = 8
-
 
 def unit(space: StoreSpace, sort: Sort, value: str) -> TraceSet:
     """The single-stutter traces; this set is already closed."""
@@ -64,12 +61,11 @@ class TraceAlgebra(Algebra):
     signature, so a Tr term needs no translation into S.
 
     Acquire relabels generators to the ceding start sort (front stutters are
-    then recovered by closure); release emits each generator both bare and
-    behind every possible stutter, since a held start blocks front
-    stuttering.  Acquire canonicalizes results above ``CANONICAL_THRESHOLD``
-    generators: the stutter-prefixed generators release produced collapse
-    once the start sort cedes again, which keeps nested delimiter chains
-    from compounding.
+    then recovered by closure) and returns the canonical form; release emits
+    each generator both bare and behind every possible stutter, since a held
+    start blocks front stuttering.  Those stutter-prefixed generators are
+    deducible again once the start sort cedes, so acquire drops them, which
+    keeps nested delimiter chains from compounding.
     """
 
     def __init__(self, space: StoreSpace, signature: Signature | None = None):
@@ -119,13 +115,8 @@ class TraceAlgebra(Algebra):
 
     def acquire(self, K: TraceSet) -> TraceSet:
         self._expect(K, HOLD)
-        gens = frozenset(
-            Trace(CEDE, g.steps, g.value_sort, g.value) for g in K.generators
-        )
-        out = TraceSet._built(CEDE, gens)
-        if len(gens) > CANONICAL_THRESHOLD:
-            out = canonicalize(out)
-        return out
+        gens = [Trace(CEDE, g.steps, g.value_sort, g.value) for g in K.generators]
+        return canonicalize(TraceSet._built(CEDE, gens))
 
     def release(self, K: TraceSet) -> TraceSet:
         self._expect(K, CEDE)

@@ -160,14 +160,18 @@ def _space_for(traces: Iterable[Trace]) -> StoreSpace:
 # Deductions and the brute-force bounded closure (the oracle)
 
 
+def _check_discipline(discipline: str) -> None:
+    if discipline not in (SORTED, BROOKES):
+        raise ValueError(f"unknown discipline {discipline!r}; expected {SORTED!r} or {BROOKES!r}")
+
+
 def step_deductions(t: Trace, discipline: str, space: StoreSpace) -> frozenset[Trace]:
     """All one-step stutter insertions and mumble fusions of ``t``.
 
     Under ``SORTED`` an end stutter needs a ceding sort at that end; under
     ``BROOKES`` both ends accept one unconditionally.
     """
-    if discipline not in (SORTED, BROOKES):
-        raise ValueError(f"unknown discipline {discipline!r}; expected {SORTED!r} or {BROOKES!r}")
+    _check_discipline(discipline)
     front_ok = discipline == BROOKES or t.start is CEDE
     back_ok = discipline == BROOKES or t.value_sort is CEDE
     out: set[Trace] = set()
@@ -218,6 +222,7 @@ def closure_bounded(
     normalising derivations (mumbles before stutters) shows slack zero
     already suffices, and the slack-invariance is itself tested.
     """
+    _check_discipline(discipline)
     gens = list(gens)
     if cap is None:
         cap = _oracle_cap()

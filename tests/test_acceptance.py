@@ -2,13 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The oracle-equivalence
 and deduction-soundness sweeps are exhaustive and take a few minutes each;
-everything else finishes in seconds.
+they and criteria 3 and 8 are marked ``slow``, and everything else finishes
+in seconds.
 """
 
 import itertools
 import random
 
 import numpy as np
+import pytest
 
 from tracealg import (
     BROOKES,
@@ -165,6 +167,7 @@ def _steps_of(flat, n):
     return tuple(TRANSITIONS[(flat // (16 ** (n - 1 - j))) % 16] for j in range(n))
 
 
+@pytest.mark.slow
 def test_criterion_2_oracle_equivalence():
     rng = random.Random(202)
     direct_pairs = 0
@@ -229,6 +232,7 @@ def test_criterion_2_oracle_equivalence():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_3_axiom_validation():
     shared = validate_axioms("S", SampleConfig(seed=301, samples=100), SP)
     transitions = validate_axioms("B", SampleConfig(seed=302, samples=100), SP)
@@ -371,6 +375,7 @@ def test_criterion_7_theory_equivalences():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_8_yield_and_generation_experiments():
     nogo3 = run_nogo3(SampleConfig(seed=801, samples=200), SP)
     nogo2 = run_nogo2(3, SP)
@@ -394,6 +399,7 @@ def test_criterion_8_yield_and_generation_experiments():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_9_deduction_soundness():
     alg = TraceAlgebra(SP)
     units = {HOLD: unit(SP, HOLD, "v"), CEDE: unit(SP, CEDE, "v")}

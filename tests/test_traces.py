@@ -157,8 +157,9 @@ def test_unknown_discipline_is_rejected(discipline):
     t = mk(CEDE, [("11", "00")], CEDE)
     with pytest.raises(ValueError, match="unknown discipline"):
         step_deductions(t, discipline, SP)
-    with pytest.raises(ValueError, match="unknown discipline"):
-        closure_bounded([t], discipline, SP, 2)
+    for gens in ([t], []):
+        with pytest.raises(ValueError, match="unknown discipline"):
+            closure_bounded(gens, discipline, SP, 2)
 
 
 # ---------------------------------------------------------------------------

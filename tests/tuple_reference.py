@@ -180,9 +180,8 @@ def ref_lookup(loc: int, gens0, gens1) -> frozenset[RefTrace]:
     )
 
 
-def ref_acquire(gens, threshold: int) -> frozenset[RefTrace]:
-    out = frozenset(g._replace(start=CEDE) for g in gens)
-    return ref_canonicalize(out) if len(out) > threshold else out
+def ref_acquire(gens) -> frozenset[RefTrace]:
+    return ref_canonicalize(frozenset(g._replace(start=CEDE) for g in gens))
 
 
 def ref_release(width: int, gens) -> frozenset[RefTrace]:
