@@ -180,6 +180,9 @@ def parse_file(path: str) -> TermFile:
             locations, locs_line = tuple(words[1:]), lno
             if len(set(locations)) != len(locations):
                 raise ParseError(f"duplicate location in {' '.join(locations)!r}", lno, 1)
+            for name in locations:
+                if "(" in name or ")" in name:
+                    raise ParseError(f"no term can refer to a location named {name!r}", lno, 1)
         elif head == "var":
             if len(words) != 4 or words[2] != ":" or words[3] not in SORT_NAMES:
                 raise ParseError("usage: var NAME : hold|cede|star", lno, 1)

@@ -2,26 +2,26 @@
 
 ``TraceAlgebra`` interprets the two-sorted signatures, shared state (S) and
 transitions (Tr), on finitely generated closed trace sets; ``BrookesAlgebra``
-interprets the single-sorted transition signature on the cede fragment of
-the same sets, cede-sorted sets whose generators cede at their value, and
-shares join, unit and extension with ``TraceAlgebra``;
-``GTableAlgebra`` interprets nondeterministic global state as store
-functions.  Each model names its operations after the operator kinds, and
-``Algebra.apply`` dispatches to them.  All operations work on generators
-and are exact for the denoted closures, a fact the oracle tests pin down.
+interprets the transition signature on their cede fragment (generators that
+cede at both ends) and shares join, unit and extension with it;
+``GTableAlgebra`` interprets nondeterministic global state as store functions.
+Each model names its operations after the operator kinds, and
+``Algebra.apply`` dispatches to them.  All operations work on generators and
+are exact for the denoted closures, a fact the oracle tests pin down.
 
-Stores and steps are ints (see ``store``): the operations test a location
-with ``space.mask`` or ``space.pre_mask``, read a step's stores from
-``pre_of``/``post_of``, and pick every step they emit from the space's
-tables.  They build their results through ``TraceSet._built``, since each
-generator they make starts at the sort they make it with.
+One prefix rule, ``_prefixed``, puts runs of steps in front of every
+generator: Brookes transitions, reads and writes, ``yield1``, ``release`` and
+the ceding half of ``kleisli`` are built from it.  Stores and steps are ints
+(see ``store``): operations test locations with the space's masks and take
+every step they emit from its tables, and build results through
+``TraceSet._built``, since each generator starts at the sort it is made with.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .kernel import (
     CEDE,
@@ -53,6 +53,12 @@ from .traces import (
 def unit(space: StoreSpace, sort: Sort, value: str) -> TraceSet:
     """The single-stutter traces; this set is already closed."""
     return TraceSet._built(sort, [Trace(sort, (st,), sort, value) for st in space.stutters])
+
+
+def _prefixed(start: Sort, runs: Sequence[tuple[Transition, ...]], K: TraceSet) -> list[Trace]:
+    """The prefix rule: each generator of ``K`` behind each run of steps, from ``start``."""
+    return [Trace(start, run + steps, value_sort, value)
+            for _, steps, value_sort, value in K.generators for run in runs]
 
 
 class TraceAlgebra(Algebra):
@@ -120,14 +126,8 @@ class TraceAlgebra(Algebra):
 
     def release(self, K: TraceSet) -> TraceSet:
         self._expect(K, CEDE)
-        stutters = self.space.stutters
-        gens = set()
-        for g in K.generators:
-            steps, value_sort, value = g.steps, g.value_sort, g.value
-            gens.add(Trace(HOLD, steps, value_sort, value))
-            for stutter in stutters:
-                gens.add(Trace(HOLD, (stutter,) + steps, value_sort, value))
-        return TraceSet._built(HOLD, gens)
+        runs = [()] + [(st,) for st in self.space.stutters]
+        return TraceSet._built(HOLD, set(_prefixed(HOLD, runs, K)))
 
     def transition(self, pre: Store, post: Store, K: TraceSet) -> TraceSet:
         """Assert the store is ``pre`` and move it to ``post``: Tr's
@@ -179,8 +179,7 @@ def kleisli(env: Mapping[str, TraceSet], K: TraceSet) -> TraceSet:
                 f"value needs {g.value_sort.value}"
             )
         if g.value_sort is CEDE:
-            for h in cont.generators:
-                gens.add(Trace(g.start, g.steps + h.steps, h.value_sort, h.value))
+            gens.update(_prefixed(g.start, (g.steps,), cont))
         else:
             last = g.steps[-1]
             tables = last.tables
@@ -244,10 +243,7 @@ class BrookesAlgebra(Algebra):
 
     def transition(self, pre: Store, post: Store, K: TraceSet) -> TraceSet:
         self._expect(K)
-        step = self.space.step_of[pre][post]
-        return TraceSet._built(
-            CEDE, [Trace(CEDE, (step,) + g.steps, CEDE, g.value) for g in K.generators]
-        )
+        return TraceSet._built(CEDE, _prefixed(CEDE, ((self.space.step_of[pre][post],),), K))
 
     def unit(self, value: str) -> TraceSet:
         return unit(self.space, CEDE, value)
@@ -256,23 +252,16 @@ class BrookesAlgebra(Algebra):
         """Branch on a location: a stutter records the store that was read."""
         self._expect(K0)
         self._expect(K1)
-        mask = self.space.mask(loc)
-        gens = set()
-        for sigma, stutter in zip(self.space.stores, self.space.stutters):
-            for g in (K1 if sigma & mask else K0).generators:
-                gens.add(Trace(CEDE, (stutter,) + g.steps, CEDE, g.value))
+        mask, stutters = self.space.pre_mask(loc), self.space.stutters
+        gens = set(_prefixed(CEDE, [(st,) for st in stutters if not st & mask], K0))
+        gens.update(_prefixed(CEDE, [(st,) for st in stutters if st & mask], K1))
         return TraceSet._built(CEDE, gens)
 
     def write(self, loc: int, bit: int, K: TraceSet) -> TraceSet:
         self._expect(K)
-        step_of = self.space.step_of
-        mask = self.space.mask(loc)
-        gens = set()
-        for sigma in self.space.stores:
-            step = step_of[sigma][sigma | mask if bit else sigma & ~mask]
-            for g in K.generators:
-                gens.add(Trace(CEDE, (step,) + g.steps, CEDE, g.value))
-        return TraceSet._built(CEDE, gens)
+        space, mask = self.space, self.space.mask(loc)
+        runs = [(space.step_of[s][s | mask if bit else s & ~mask],) for s in space.stores]
+        return TraceSet._built(CEDE, set(_prefixed(CEDE, runs, K)))
 
     def kleisli(self, env: Mapping[str, TraceSet], K: TraceSet) -> TraceSet:
         self._expect(K)
@@ -295,15 +284,14 @@ def strip_cede(K: TraceSet) -> TraceSet:
 embed_cede = strip_cede
 
 
-def par(K1: TraceSet, K2: TraceSet, pairing: Callable[[str, str], str] | None = None) -> TraceSet:
-    """All order-preserving interleavings of generator transition sequences."""
+def par(K1: TraceSet, K2: TraceSet) -> TraceSet:
+    """All order-preserving interleavings of generator pairs, valued ``(a,b)``."""
     BrookesAlgebra._expect(K1)
     BrookesAlgebra._expect(K2)
-    pairing = pairing or (lambda a, b: f"({a},{b})")
     gens = set()
     for g1 in K1.generators:
         for g2 in K2.generators:
-            value = pairing(g1.value, g2.value)
+            value = f"({g1.value},{g2.value})"
             n1, n2 = len(g1.steps), len(g2.steps)
             for positions in itertools.combinations(range(n1 + n2), n1):
                 merged: list[Transition] = []
@@ -322,13 +310,7 @@ def par(K1: TraceSet, K2: TraceSet, pairing: Callable[[str, str], str] | None = 
 def yield1(K: TraceSet, space: StoreSpace) -> TraceSet:
     """Prefix every behaviour with an environment step (closure implicit)."""
     BrookesAlgebra._expect(K)
-    if K.is_empty():
-        return K
-    gens = set()
-    for step in space.stutters:
-        for g in K.generators:
-            gens.add(Trace(CEDE, (step,) + g.steps, CEDE, g.value))
-    return TraceSet._built(CEDE, gens)
+    return TraceSet._built(CEDE, set(_prefixed(CEDE, [(st,) for st in space.stutters], K)))
 
 
 def yield2(K: TraceSet, space: StoreSpace) -> TraceSet:

@@ -131,6 +131,10 @@ def test_parse_error_names_the_directive_line(tmp_path, capsys, text, line):
         ),
         ("theory S\nlocs x y\ntheory B\ndef t = bot\n", "3:1: 'theory' directive given twice"),
         ("theory S\nlocs x y\nvar v : cede\nlocs x\n", "4:1: 'locs' directive given twice"),
+        (
+            "theory S\nlocs x(y z\nvar v : cede\ndef t = v\n",
+            "2:1: no term can refer to a location named 'x(y'",
+        ),
     ],
 )
 def test_theory_and_locs_errors_name_their_line(tmp_path, capsys, text, stderr):

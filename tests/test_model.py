@@ -400,9 +400,13 @@ def test_par_symmetry_up_to_value_swap(space):
     for _ in range(15):
         K1 = random_brookes_set(space, ("a",), CFG, rng)
         K2 = random_brookes_set(space, ("b",), CFG, rng)
-        left = par(K1, K2)
-        right = par(K2, K1, pairing=lambda x, y: f"({y},{x})")
-        assert equal(left, right)
+        swapped = par(K2, K1)
+        # par(K2, K1) values its traces (b,a); rename them before comparing
+        assert {g.value for g in swapped.generators} <= {"(b,a)"}
+        right = brookes_set(
+            Trace(g.start, g.steps, g.value_sort, "(a,b)") for g in swapped.generators
+        )
+        assert equal(par(K1, K2), right)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +599,9 @@ def test_brookes_operations_equal_store_scans(space):
         i, j = rng.randrange(len(refs)), rng.randrange(len(refs))
         got = alg.transition(space.stores[i], space.stores[j], K0)
         assert ref_gens(got) == ref_brookes_transition(refs[i], refs[j], g0)
+        stuttered = ref_read(space.width, 0, g0, g0)  # every stutter in front of K0
+        assert ref_gens(yield1(K0, space)) == stuttered
+        assert ref_gens(yield2(K0, space)) == g0 | stuttered
         for loc in range(space.width):
             assert ref_gens(alg.read(loc, K0, K1)) == ref_read(space.width, loc, g0, g1)
             for bit in (0, 1):
