@@ -185,7 +185,10 @@ def denote(theory: str, ctx: Mapping[str, Sort], t: Term, space: StoreSpace | No
         env = {name: unit(space, sort, name) for name, sort in ctx.items()}
         # S and Tr, each untranslated and read in its own signature
         alg = TraceAlgebra(space, build(theory, space).signature)
-        return canonicalize(evaluate(alg, env, t))
+        K = evaluate(alg, env, t)
+        if isinstance(t, App) and alg.signature.operators[t.op].kind == "acquire":
+            return K  # ``TraceAlgebra.acquire`` returned its canonical form
+        return canonicalize(K)
     if base == "B":
         alg = BrookesAlgebra(space)
         return canonicalize(evaluate(alg, {name: alg.unit(name) for name in ctx}, t))

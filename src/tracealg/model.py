@@ -77,6 +77,7 @@ class TraceAlgebra(Algebra):
     def __init__(self, space: StoreSpace, signature: Signature | None = None):
         self.space = space
         self.signature = signature or build("S", space).signature
+        self._release_runs = [()] + [(st,) for st in space.stutters]
 
     def join(self, sort: Sort, args: Sequence[TraceSet]) -> TraceSet:
         gens: set[Trace] = set()
@@ -126,8 +127,7 @@ class TraceAlgebra(Algebra):
 
     def release(self, K: TraceSet) -> TraceSet:
         self._expect(K, CEDE)
-        runs = [()] + [(st,) for st in self.space.stutters]
-        return TraceSet._built(HOLD, set(_prefixed(HOLD, runs, K)))
+        return TraceSet._built(HOLD, set(_prefixed(HOLD, self._release_runs, K)))
 
     def transition(self, pre: Store, post: Store, K: TraceSet) -> TraceSet:
         """Assert the store is ``pre`` and move it to ``post``: Tr's

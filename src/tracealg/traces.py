@@ -9,8 +9,8 @@ model operations, which build and hash many traces, do C-level work on each;
 only its constructor's checks run in Python.  Closed sets of traces are
 represented by finite generator sets; the closure itself is countably
 infinite and never materialised.  Membership in a closure is decided by a
-small dynamic program, validated exhaustively against the brute-force
-bounded closure.
+bit-parallel dynamic program on each generator compiled once into bitmasks
+(``_compile``), validated exhaustively against the bounded closure.
 
 Closure follows one rule: a stutter may be inserted at the very front only
 when the start sort cedes control, and at the very back only when the value
@@ -248,47 +248,68 @@ def closure_bounded(
 # Closure membership without materialising the closure
 
 
-def _gen_contains(g: Trace, t: Trace) -> bool:
-    """Decide whether ``t`` is deducible from the single generator ``g``.
+def _compile(g: Trace) -> tuple:
+    """``g`` as the bitmasks ``_gen_contains`` steps with, built once.
+
+    Bit ``i`` stands for generator step ``i``: ``by_pre[s]`` and
+    ``by_post[s]`` mark the steps that rely on and leave store ``s`` (stores
+    are ints ``0..2^n-1``, so a list indexed by store holds them), and
+    ``chained`` the steps whose pre store is the post store of the step
+    before.  The last entry is the accepting bit, one past the last step.
+    """
+    start, steps, value_sort, value = g
+    tables = steps[0].tables
+    pre_of, post_of = tables.pre_of, tables.post_of
+    by_pre = [0] * len(tables.stores)
+    by_post = by_pre[:]
+    chained = 0
+    bit = 1
+    post = None
+    for step in steps:
+        pre = pre_of[step]
+        if pre is post:
+            chained |= bit
+        post = post_of[step]
+        by_pre[pre] |= bit
+        by_post[post] |= bit
+        bit <<= 1
+    return start, value_sort, value, by_pre, by_post, chained, bit
+
+
+def _gen_contains(c: tuple, t: Trace) -> bool:
+    """Decide whether ``t`` is deducible from the generator compiled as ``c``.
 
     ``t`` must assign every position either a fused block of consecutive
     chained generator steps (in order, jointly covering all of them) or an
     inserted stutter; end positions accept a stutter only where the sorts
-    cede.  The reachable-prefix sets are kept as bitmasks over how many
-    generator steps have been consumed; stores are compared as interned
-    objects.
+    cede.  ``reach`` has bit ``i`` set when some prefix of ``t`` deduces
+    from the first ``i`` generator steps.  A step of ``t`` starts a block at
+    each reached generator step that relies on its pre store; adding those
+    starts to the chained runs they begin carries each one past the end of
+    its run, so the bits the addition clears, and the starts (a second start
+    in one run is set again by its own addend), are the steps a block covers.
     """
-    if g.start is not t.start or g.value_sort is not t.value_sort or g.value != t.value:
+    start, value_sort, value, by_pre, by_post, chained, accept = c
+    t_start, steps, t_value_sort, t_value = t
+    if start is not t_start or value_sort is not t_value_sort or value != t_value:
         return False
-    gs, ts = g.steps, t.steps
-    m, n = len(gs), len(ts)
-    tables = gs[0].tables
+    tables = steps[0].tables
     pre_of, post_of = tables.pre_of, tables.post_of
-    gpre = [pre_of[s] for s in gs]
-    gpost = [post_of[s] for s in gs]
-    front_ok = t.start is CEDE
-    back_ok = t.value_sort is CEDE
+    front_ok = start is CEDE
+    back_ok = value_sort is CEDE
+    last = len(steps) - 1
     reach = 1
-    for j in range(n):
-        step = ts[j]
+    for j, step in enumerate(steps):
         pre, post = pre_of[step], post_of[step]
-        nxt = 0
-        if pre is post and (j > 0 or front_ok) and (j < n - 1 or back_ok):
-            nxt = reach
-        for i in range(m):
-            if not (reach >> i) & 1 or gpre[i] is not pre:
-                continue
-            k = i
-            while True:
-                if gpost[k] is post:
-                    nxt |= 1 << (k + 1)
-                if k + 1 >= m or gpost[k] is not gpre[k + 1]:
-                    break
-                k += 1
+        starts = reach & by_pre[pre]
+        run = chained | starts
+        nxt = ((run & ~(run + starts) | starts) & by_post[post]) << 1
+        if pre is post and (j or front_ok) and (j < last or back_ok):
+            nxt |= reach
         reach = nxt
         if not reach:
             return False
-    return bool((reach >> m) & 1)
+    return bool(reach & accept)
 
 
 def member(t: Trace, K: TraceSet) -> bool:
@@ -297,7 +318,7 @@ def member(t: Trace, K: TraceSet) -> bool:
     Both deductions are unary, so the closure of a union is the union of the
     closures and membership is a disjunction over generators.
     """
-    return any(_gen_contains(g, t) for g in K.generators)
+    return any(_gen_contains(_compile(g), t) for g in K.generators)
 
 
 def _check_comparable(a: TraceSet, b: TraceSet) -> None:
@@ -385,12 +406,15 @@ def canonicalize(K: TraceSet) -> TraceSet:
         for g in bucket:
             classes.setdefault(_normal_form(g.steps), []).append(g)
         for group in classes.values():
+            if len(group) == 1:
+                kept.extend(group)
+                continue
             group.sort(key=Trace.key, reverse=True)
-            surviving: list[Trace] = []
+            compiled = [_compile(g) for g in group]
+            surviving: list[tuple] = []
             for idx, t in enumerate(group):
-                rest = group[idx + 1 :] + surviving
-                if not any(_gen_contains(g, t) for g in rest):
-                    surviving.append(t)
-            kept.extend(surviving)
+                if not any(_gen_contains(c, t) for c in compiled[idx + 1 :] + surviving):
+                    surviving.append(compiled[idx])
+                    kept.append(t)
     return TraceSet._built(K.sort, kept)
 

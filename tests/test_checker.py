@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 
 import pytest
 
@@ -58,6 +60,9 @@ from tracealg.theories import (
     translate_context,
 )
 from tracealg.kernel import Var, app
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+import workloads  # noqa: E402  (bench/workloads.py, imported read only)
 
 SP = StoreSpace()
 SIG = build("S", SP).signature
@@ -122,6 +127,41 @@ def test_denote_is_canonical():
 
     d = denote("S", X_CEDE, WRITE_TWICE, SP)
     assert canonicalize(d) == d
+
+
+def acquire_rooted_terms():
+    """Every ``chain`` variant at the benchmark's sizes, as the chain, its
+    dead write and its irrelevant read of each location, and random S and
+    Tr hold terms wrapped in ``acq``; each with its theory and space."""
+    for n, k in sorted({size for kind in workloads.CHAIN_KINDS for size in workloads.chain_sizes(kind)}):
+        space = workloads.space_for(n)
+        sig = build("S", space).signature
+        for shape in workloads.chain_shapes(n, k):
+            raws = [shape.raw(), shape.dead_write_raw()] + [
+                workloads.ChainShape(k, n, shape.flip, shape.perm, probe).irrelevant_read_raw()
+                for probe in range(n)
+            ]
+            for raw in raws:
+                yield "S", {"C": CEDE}, check_sort(sig, {"C": CEDE}, raw), space
+    ctx = {"a": HOLD, "b": CEDE}
+    for theory in ("S", "Tr"):
+        for n in (1, 2, 3):
+            space = StoreSpace(("x", "y", "z")[:n])
+            p = build(theory, space)
+            rng = random.Random(f"acq-rooted-{theory}-{n}")
+            for i in range(40):
+                yield theory, ctx, app(p.signature, "acq", random_term(p, ctx, HOLD, 2 + i % 4, rng)), space
+
+
+def test_acquire_rooted_denotations_are_canonical():
+    # ``denote`` returns an ``acq``-rooted term's set without canonicalizing
+    # it again, because ``TraceAlgebra.acquire`` already returned it canonical
+    count = 0
+    for theory, ctx, t, space in acquire_rooted_terms():
+        d = denote(theory, ctx, t, space)
+        assert canonicalize(d).generators == d.generators, (theory, t)
+        count += 1
+    assert count > 400
 
 
 def test_denote_overview_term():

@@ -33,7 +33,14 @@ from tracealg import (
     step_deductions,
     subset,
 )
-from tracealg.traces import _closure_key, _gen_contains, _normal_form, _space_for, missing_witness
+from tracealg.traces import (
+    _closure_key,
+    _compile,
+    _gen_contains,
+    _normal_form,
+    _space_for,
+    missing_witness,
+)
 from tuple_reference import (
     RefTransition,
     ref_gen_contains,
@@ -420,7 +427,7 @@ def canonicalize_pairwise(K):
         surviving = []
         for idx, t in enumerate(group):
             rest = group[idx + 1 :] + surviving
-            if not any(_gen_contains(g, t) for g in rest):
+            if not any(_gen_contains(_compile(g), t) for g in rest):
                 surviving.append(t)
         kept.extend(surviving)
     return TraceSet(K.sort, frozenset(kept))
@@ -652,7 +659,7 @@ def test_packed_deciders_equal_tuple_references_on_random_pairs():
         else:
             t = Trace(start, random_steps(rng, space, 1, 5), vsort, "v")
         rg, rt = ref_trace(g), ref_trace(t)
-        got = _gen_contains(g, t)
+        got = _gen_contains(_compile(g), t)
         assert got == ref_gen_contains(rg, rt)
         hits += got
         for x, rx in ((g, rg), (t, rt)):
@@ -661,6 +668,87 @@ def test_packed_deciders_equal_tuple_references_on_random_pairs():
             got = {ref_trace(d) for d in step_deductions(g, discipline, space)}
             assert got == ref_step_deductions(rg, discipline, space.width)
     assert hits > 500
+
+
+def chained_steps(rng, space, m):
+    """``m`` steps, each chained on from the one before with probability 3/4."""
+    steps, store = [], rng.choice(space.stores)
+    for _ in range(m):
+        if rng.random() < 0.25:
+            store = rng.choice(space.stores)
+        post = rng.choice(space.stores)
+        steps.append(space.step_of[store][post])
+        store = post
+    return tuple(steps)
+
+
+def test_compiled_membership_equals_tuple_reference_on_long_chained_generators():
+    # long chained runs put several block starts in one run, which is where
+    # the carry of ``_gen_contains`` does its work
+    rng = random.Random(13)
+    hits = misses = 0
+    for _ in range(1500):
+        start, vsort = rng.choice((HOLD, CEDE)), rng.choice((HOLD, CEDE))
+        g, other = (Trace(start, chained_steps(rng, SP1, rng.randint(1, 12)), vsort, "v")
+                    for _ in range(2))
+        t = g
+        for _ in range(rng.randint(0, 8)):
+            succ = sorted(step_deductions(t, SORTED, SP1), key=Trace.key)
+            if not succ:
+                break
+            t = rng.choice(succ)
+        for h in (g, other):
+            got = _gen_contains(_compile(h), t)
+            assert got == ref_gen_contains(ref_trace(h), ref_trace(t)), (h, t)
+            hits += got
+            misses += not got
+    assert hits > 1500 and misses > 500
+
+
+def s1(pairs):
+    return tuple(SP1.step_of[int(a)][int(b)] for a, b in pairs)
+
+
+CARRY_CASES = [
+    # two block starts in one chained run: after t's first step, none (a
+    # front stutter) and one of the generator's steps are consumed, so the
+    # second starts blocks at steps 0 and 1, which both rely on store 0
+    (CEDE, ["00", "00"], HOLD, ["00", "00"], True),
+    (CEDE, ["01", "10", "01", "10"], HOLD, ["00", "01", "10"], True),
+    # a run that ends at the last step: the carry passes the accepting bit
+    (HOLD, ["01", "10", "01"], HOLD, ["01"], True),
+    (HOLD, ["01", "10", "01"], HOLD, ["00", "01"], True),
+    (HOLD, ["01", "10", "01"], HOLD, ["00"], False),
+    # two runs split by one break: no block crosses it
+    (HOLD, ["01", "01"], HOLD, ["01", "01"], True),
+    (HOLD, ["01", "01"], HOLD, ["01"], False),
+    (HOLD, ["01", "10", "10", "01"], HOLD, ["00", "11"], True),
+    (HOLD, ["01", "10", "10", "01"], HOLD, ["01", "11"], False),
+    (HOLD, ["00", "01", "10", "11"], HOLD, ["01", "11", "11"], False),
+    (HOLD, ["00", "01", "10", "11"], HOLD, ["01", "11", "01"], False),
+    (HOLD, ["00", "01", "00", "01"], HOLD, ["01", "01"], True),
+    # a one-step generator
+    (HOLD, ["01"], HOLD, ["01"], True),
+    (HOLD, ["01"], HOLD, ["00"], False),
+    (HOLD, ["01"], HOLD, ["01", "11"], False),
+    # a hold and a cede end at each side: a stutter goes only where it cedes
+    (HOLD, ["01"], CEDE, ["01", "11"], True),
+    (HOLD, ["01"], CEDE, ["00", "01"], False),
+    (CEDE, ["01"], HOLD, ["00", "01"], True),
+    (CEDE, ["01"], HOLD, ["01", "11"], False),
+    (CEDE, ["01"], CEDE, ["00", "01", "11"], True),
+    (HOLD, ["01"], HOLD, ["00", "01", "11"], False),
+    (HOLD, ["01", "10"], HOLD, ["01", "11", "10"], True),
+]
+
+
+def test_compiled_membership_hand_cases():
+    for case in CARRY_CASES:
+        start, g_steps, vsort, t_steps, want = case
+        g = Trace(start, s1(g_steps), vsort, "v")
+        t = Trace(start, s1(t_steps), vsort, "v")
+        assert ref_gen_contains(ref_trace(g), ref_trace(t)) == want, case
+        assert _gen_contains(_compile(g), t) == want, case
 
 
 def test_trace_key_orders_as_the_tuple_key():
