@@ -2,9 +2,11 @@
 
 Equality and refinement in each theory are decided by evaluating both terms
 in the theory's free model with the returning environment and comparing the
-results; refinement is inclusion.  ``FREE_MODELS`` says which free model
-reads each theory and, for Tgs alone, through which translation: S and Tr
-are each read in their own signature.  ``denote`` covers S, Tr, B, G and
+results; refinement is inclusion.  The two terms are evaluated together, so
+a subterm they share, or one holds twice, is evaluated once per decision
+(``_denote_all``).  ``FREE_MODELS`` says which free model reads each theory
+and, for Tgs alone, through which translation: S and Tr are each read in
+their own signature.  ``denote`` covers S, Tr, B, G and
 Tgs; J and V have no trace model.  Axiom validation samples random model
 elements for the variables: the mathematics guarantees the axioms, so these
 suites guard the implementation of the models.
@@ -29,6 +31,7 @@ from .kernel import (
     Var,
     bottom,
     evaluate,
+    share,
 )
 from .model import (
     BrookesAlgebra,
@@ -173,26 +176,60 @@ def _free_model(theory: str, space: StoreSpace) -> tuple[str, Translation | None
     return base, builtin_translations(space)[via] if via else None
 
 
-def denote(theory: str, ctx: Mapping[str, Sort], t: Term, space: StoreSpace | None = None) -> TraceSet:
-    """Evaluate in the theory's free model with the returning environment."""
-    space = _space(space)
+def _reader(theory: str, ctx: Mapping[str, Sort], space: StoreSpace) -> tuple:
+    """How ``denote`` reads ``theory``'s terms: the translation into its base
+    theory (or ``None``), the base's free model, the returning environment,
+    and ``finish(t, value)``, which turns the value of ``t`` into its
+    canonical trace set."""
     base, tr = _free_model(theory, space)
     if base not in TRACE_MODELS:
         raise UnknownTheory(f"theory {theory} has no trace model")
     if tr is not None:
-        ctx, t = translate_context(tr, ctx), apply_translation(tr, t)
+        ctx = translate_context(tr, ctx)
     if base == "S":
-        env = {name: unit(space, sort, name) for name, sort in ctx.items()}
         # S and Tr, each untranslated and read in its own signature
         alg = TraceAlgebra(space, build(theory, space).signature)
-        K = evaluate(alg, env, t)
-        if isinstance(t, App) and alg.signature.operators[t.op].kind == "acquire":
-            return K  # ``TraceAlgebra.acquire`` returned its canonical form
-        return canonicalize(K)
+        ops = alg.signature.operators
+
+        def finish(t: Term, K: TraceSet) -> TraceSet:
+            if isinstance(t, App) and ops[t.op].kind == "acquire":
+                return K  # ``TraceAlgebra.acquire`` returned its canonical form
+            return canonicalize(K)
+
+        return tr, alg, {name: unit(space, sort, name) for name, sort in ctx.items()}, finish
     if base == "B":
         alg = BrookesAlgebra(space)
-        return canonicalize(evaluate(alg, {name: alg.unit(name) for name in ctx}, t))
-    return gtable_to_traceset(space, denote_G(ctx, t, space))
+        return tr, alg, {name: alg.unit(name) for name in ctx}, lambda t, K: canonicalize(K)
+    alg = GTableAlgebra(space)
+    env = {name: variable_gtable(space, name) for name in ctx}
+    return tr, alg, env, lambda t, table: gtable_to_traceset(space, table)
+
+
+def denote(theory: str, ctx: Mapping[str, Sort], t: Term, space: StoreSpace | None = None) -> TraceSet:
+    """Evaluate in the theory's free model with the returning environment."""
+    tr, alg, env, finish = _reader(theory, ctx, _space(space))
+    if tr is not None:
+        t = apply_translation(tr, t)
+    return finish(t, evaluate(alg, env, t))
+
+
+def _denote_all(
+    theory: str, ctx: Mapping[str, Sort], terms: Sequence[Term], space: StoreSpace
+) -> list[TraceSet]:
+    """``denote`` of each of ``terms``, evaluating every distinct subterm once.
+
+    The terms are hash-consed together (``kernel.share``) and evaluated in
+    one algebra and one environment with one memo, so a subterm that both
+    sides of a decision hold, or one side holds twice, is evaluated once.
+    Evaluation is a function of the term, so the sets are those ``denote``
+    returns.  The table and the memo live for this call only: a query asked
+    twice is evaluated twice.
+    """
+    tr, alg, env, finish = _reader(theory, ctx, space)
+    if tr is not None:
+        terms = [apply_translation(tr, t) for t in terms]
+    memo: dict[int, object] = {}
+    return [finish(t, evaluate(alg, env, t, memo)) for t in share(terms)]
 
 
 # The benchmark harness wraps and calls the trace denotation by this name.
@@ -214,9 +251,7 @@ def check_refines(
     theory: str, ctx: Mapping[str, Sort], t1: Term, t2: Term, space: StoreSpace | None = None
 ) -> Verdict:
     """Does every behaviour of ``t1`` belong to ``t2``?"""
-    space = _space(space)
-    d1 = denote(theory, ctx, t1, space)
-    d2 = denote(theory, ctx, t2, space)
+    d1, d2 = _denote_all(theory, ctx, (t1, t2), _space(space))
     witness = missing_witness(d1, d2)
     if witness is None:
         return Verdict(True)
@@ -226,9 +261,7 @@ def check_refines(
 def check_equal(
     theory: str, ctx: Mapping[str, Sort], t1: Term, t2: Term, space: StoreSpace | None = None
 ) -> Verdict:
-    space = _space(space)
-    d1 = denote(theory, ctx, t1, space)
-    d2 = denote(theory, ctx, t2, space)
+    d1, d2 = _denote_all(theory, ctx, (t1, t2), _space(space))
     witness = missing_witness(d1, d2)
     if witness is not None:
         return Verdict(False, witness, "lhs ⊄ rhs")

@@ -30,6 +30,7 @@ from .checker import (
     FREE_MODELS,
     TRACE_MODELS,
     SampleConfig,
+    _denote_all,
     check_equal,
     check_refines,
     denote,
@@ -383,7 +384,7 @@ def cmd_par(args: argparse.Namespace) -> int:
     if tf.theory.name != "B":
         raise UnknownTheory("parallel composition works on B files")
     left, right = _lookup_terms(tf, args.left, args.right)
-    K = par(denote("B", tf.ctx, left, tf.space), denote("B", tf.ctx, right, tf.space))
+    K = par(*_denote_all("B", tf.ctx, (left, right), tf.space))
     _print_traceset(canonicalize(K), args.json)
     return 0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import is_
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar, Union
 
 
@@ -221,21 +222,23 @@ def check_sort(
     empty join in a multi-sorted signature is ambiguous and rejected.
     """
 
+    def leaf(name: str, want: Sort | None) -> Var:
+        if name not in ctx:
+            raise UnknownVariable(f"variable {name!r} not in context")
+        sort = ctx[name]
+        if want is not None and sort is not want:
+            raise SortMismatch(f"variable {name!r} has sort {sort.value}, expected {want.value}")
+        return Var(name, sort)
+
     # ``walk`` yields ``(child, sort, index)`` where it would recurse and is
-    # sent the child's term; the loop below runs the walks on an explicit
-    # stack and adds an error's path as the error unwinds it.  A probed
-    # child keeps its term: an alias's candidates differ in sort
-    # (``Signature``), so a second walk at that sort would build the same.
+    # sent the child's term; the loop below resolves a variable child at
+    # once, runs the other walks on an explicit stack, and adds an error's
+    # path as the error unwinds it.  A probed child keeps its term: an
+    # alias's candidates differ in sort (``Signature``), so a second walk at
+    # that sort would build the same.
     def walk(node: RawTree, want: Sort | None) -> Iterator:
         if isinstance(node, str):
-            if node not in ctx:
-                raise UnknownVariable(f"variable {node!r} not in context")
-            sort = ctx[node]
-            if want is not None and sort is not want:
-                raise SortMismatch(
-                    f"variable {node!r} has sort {sort.value}, expected {want.value}"
-                )
-            return Var(node, sort)
+            return leaf(node, want)
         if not isinstance(node, (tuple, list)) or not node or not isinstance(node[0], str):
             raise UnknownOperator(f"malformed node {node!r}")
         name, children = node[0], tuple(node[1:])
@@ -297,8 +300,14 @@ def check_sort(
             trail.append(i)
             reply = exc
         else:
-            stack.append((walk(child, want), i))
-            reply = None
+            if isinstance(child, str):
+                try:
+                    reply = leaf(child, want)
+                except TermError as exc:  # thrown into the walk that yielded the variable
+                    trail, reply = [i], exc
+            else:
+                stack.append((walk(child, want), i))
+                reply = None
 
 
 def free_vars(t: Term) -> dict[str, Sort]:
@@ -357,12 +366,23 @@ class Algebra:
         return method(*op.params, *args)
 
 
-def fold(t: Term, var: Callable[[Var], R], node: Callable[[App, tuple], R]) -> R:
+def fold(
+    t: Term,
+    var: Callable[[Var], R],
+    node: Callable[[App, tuple], R],
+    memo: dict[int, R] | None = None,
+) -> R:
     """Fold ``t`` bottom up: ``var`` at each variable and ``node`` at each
     application with its arguments' results, left to right, memoized per node
-    identity so that a subterm that substitution shares is folded once."""
+    identity so that a subterm that substitution shares is folded once.
+
+    A caller that folds several terms with the same callbacks may pass one
+    ``memo`` to them all; it must keep the terms alive while it does, since
+    the memo is keyed by ``id``.
+    """
     # an explicit stack instead of recursion, so that any depth folds
-    memo: dict[int, R] = {}
+    if memo is None:
+        memo = {}
     stack: list = [t]  # nodes to fold, and (node,) once its arguments are folded
     while stack:
         n = stack.pop()
@@ -378,8 +398,14 @@ def fold(t: Term, var: Callable[[Var], R], node: Callable[[App, tuple], R]) -> R
     return memo[id(t)]
 
 
-def evaluate(alg: Algebra, env: Mapping[str, object], t: Term) -> object:
-    """Structural fold: variables via env, applications via alg's operations."""
+def evaluate(
+    alg: Algebra, env: Mapping[str, object], t: Term, memo: dict[int, object] | None = None
+) -> object:
+    """Structural fold: variables via env, applications via alg's operations.
+
+    ``memo`` is ``fold``'s: evaluations in one algebra and environment may
+    share it, and each node they have in common is then evaluated once.
+    """
     ops = alg.signature.operators
 
     def var(v: Var) -> object:
@@ -387,7 +413,43 @@ def evaluate(alg: Algebra, env: Mapping[str, object], t: Term) -> object:
             raise MissingBinding(f"no environment value for variable {v.name!r}")
         return env[v.name]
 
-    return fold(t, var, lambda node, args: alg.apply(ops[node.op], args))
+    return fold(t, var, lambda node, args: alg.apply(ops[node.op], args), memo)
+
+
+def share(terms: Sequence[Term]) -> list[Term]:
+    """``terms`` with every two equal subterms made one node (hash-consing).
+
+    Equal means the same operator, sort and, recursively, arguments, or the
+    same variable.  A node is keyed by its operator, sort and the identities
+    of its already shared arguments, a variable by its name and sort; the
+    two kinds of key differ in length, so a variable never meets a nullary
+    operator of its name.  Left to right, the first node met with a key is
+    kept as it is when its arguments were already shared, and rebuilt
+    otherwise.  The table lives for one call: a later call shares nothing
+    with this one.
+    """
+    table: dict[tuple, Term] = {}  # key -> the one node with that key
+    shared: dict[int, Term] = {}  # id of a node of ``terms`` -> its shared node
+    stack: list = list(reversed(terms))  # nodes to share, and (node,) once its arguments are
+    while stack:
+        n = stack.pop()
+        if type(n) is tuple:
+            n = n[0]
+            args = [shared[id(a)] for a in n.args]
+            key = (n.op, n.sort, tuple(map(id, args)))
+            one = table.get(key)
+            if one is None:
+                one = table[key] = (
+                    n if all(map(is_, args, n.args)) else App(n.op, tuple(args), n.sort)
+                )
+            shared[id(n)] = one
+        elif id(n) not in shared:
+            if isinstance(n, Var):
+                shared[id(n)] = table.setdefault((n.name, n.sort), n)
+            else:
+                stack.append((n,))
+                stack += reversed(n.args)
+    return [shared[id(t)] for t in terms]
 
 
 class TermAlgebra(Algebra):

@@ -376,6 +376,8 @@ def missing_witness(a: TraceSet, b: TraceSet) -> Trace | None:
         classes.setdefault(_closure_key(h), []).append(h)
     class_sets: dict[tuple, TraceSet] = {}
     for g in a.ordered():
+        if g in b.generators:  # a generator lies in its own closure
+            continue
         key = _closure_key(g)
         K = class_sets.get(key)
         if K is None:
@@ -393,10 +395,32 @@ def canonicalize(K: TraceSet) -> TraceSet:
     A generator can only be deduced from one with the same
     ``_closure_key``, so the scan runs within each key's class; the
     survivors are those of a scan over the whole set in the same order.
+
+    Before the scan, a cede-start generator ``g`` whose first step is a
+    stutter is dropped without a membership test when its remainder ``r``
+    (the steps after that stutter) is also a generator: these are the
+    copies that ``release`` pads and ``acquire`` relabels.  This is exact.
+    ``r`` deduces ``g`` by a front stutter and is shorter, so the scan, which
+    tests ``g`` against every generator after it, would drop ``g``.  And
+    ``g`` decides no other generator's fate: one before ``g`` that ``g``
+    deduces, ``r`` deduces too, and ``r`` comes after it as well; none after
+    ``g`` is tested against ``g``, which does not survive.  A copy padded
+    twice drops by the same argument, before its remainder does.
     """
+    gens = K.generators
     buckets: dict[tuple, list[Trace]] = {}
-    for g in K.generators:
-        buckets.setdefault((g.start, g.value_sort, g.value), []).append(g)
+    for g in gens:
+        start, steps, value_sort, value = g
+        if start is CEDE:
+            first = steps[0]
+            tables = first.tables
+            # a ``Trace`` is its tuple, so the tuple finds the remainder; a
+            # one-step generator's remainder is empty, which no trace is
+            if tables.pre_of[first] is tables.post_of[first] and (
+                (start, steps[1:], value_sort, value) in gens
+            ):
+                continue
+        buckets.setdefault((start, value_sort, value), []).append(g)
     kept: list[Trace] = []
     for bucket in buckets.values():
         if len(bucket) == 1:  # nothing to compare, so no normal form needed
@@ -417,4 +441,3 @@ def canonicalize(K: TraceSet) -> TraceSet:
                     surviving.append(compiled[idx])
                     kept.append(t)
     return TraceSet._built(K.sort, kept)
-

@@ -51,6 +51,7 @@ from tracealg import (
 )
 from tracealg.checker import FREE_MODELS, Report, SetAlgebra, _validate_instances, random_gtable
 from tracealg.model import variable_gtable
+from tracealg.traces import missing_witness
 from tracealg.theories import (
     THEORY_NAMES,
     AxiomInstance,
@@ -162,6 +163,85 @@ def test_acquire_rooted_denotations_are_canonical():
         assert canonicalize(d).generators == d.generators, (theory, t)
         count += 1
     assert count > 400
+
+
+def decision_reference(theory, ctx, t1, t2, space):
+    """``check_equal`` and ``check_refines`` of ``t1`` and ``t2`` decided by
+    ``missing_witness`` over separately computed denotations."""
+    d1, d2 = denote(theory, ctx, t1, space), denote(theory, ctx, t2, space)
+    lhs = missing_witness(d1, d2)
+    refines = Verdict(True) if lhs is None else Verdict(False, lhs, "lhs ⊄ rhs")
+    rhs = missing_witness(d2, d1)
+    if lhs is None and rhs is not None:
+        return Verdict(False, rhs, "rhs ⊄ lhs"), refines
+    return refines, refines
+
+
+def decision_pairs():
+    """The benchmark's ``chain`` decisions on every variant at its sizes
+    (dead-write elimination, write introduction and the irrelevant read of
+    each location), then random S and Tr pairs, some sharing a subterm."""
+    decisions = ("dead_write", "write_intro", "irrelevant_read")
+    for n, k in sorted({size for kind in decisions for size in workloads.chain_sizes(kind)}):
+        space = workloads.space_for(n)
+        sig = build("S", space).signature
+        ctx = {"C": CEDE}
+        for shape in workloads.chain_shapes(n, k):
+            chain = check_sort(sig, ctx, shape.raw())
+            dead = check_sort(sig, ctx, shape.dead_write_raw())
+            yield "S", ctx, chain, dead, space
+            yield "S", ctx, dead, chain, space
+            for probe in range(n):
+                probed = workloads.ChainShape(k, n, shape.flip, shape.perm, probe)
+                yield "S", ctx, check_sort(sig, ctx, probed.irrelevant_read_raw()), chain, space
+    ctx = {"a": HOLD, "b": CEDE}
+    for theory in ("S", "Tr"):
+        for n in (1, 2, 3):
+            space = StoreSpace(("x", "y", "z")[:n])
+            p = build(theory, space)
+            rng = random.Random(f"shared-decisions-{theory}-{n}")
+            for i in range(84):
+                sort = (HOLD, CEDE)[i % 2]
+                t1, t2 = (random_term(p, ctx, sort, 2 + i % 4, rng) for _ in range(2))
+                if i % 3 == 0:  # the right side holds the left one
+                    t2 = app(p.signature, p.signature.join_op(sort).name, t2, t1)
+                yield theory, ctx, t1, t2, space
+
+
+def test_shared_decisions_match_separate_denotations():
+    count = 0
+    for theory, ctx, t1, t2, space in decision_pairs():
+        eq, refines = decision_reference(theory, ctx, t1, t2, space)
+        assert check_equal(theory, ctx, t1, t2, space) == eq
+        assert check_refines(theory, ctx, t1, t2, space) == refines
+        count += 1
+    assert count > 600
+
+
+def test_a_decision_evaluates_each_distinct_subterm_once(monkeypatch):
+    # chain(6, 1) holds six ``acq`` nodes; the irrelevant read holds it twice
+    # on its left and once on its right, under one more ``acq``, and the dead
+    # write holds it once on each side, under one more on the right
+    shape = workloads.ChainShape(6, 1, 0, (0,), 0)
+    space = workloads.space_for(1)
+    sig = build("S", space).signature
+    ctx = {"C": CEDE}
+    chain, dead, read = (
+        check_sort(sig, ctx, raw)
+        for raw in (shape.raw(), shape.dead_write_raw(), shape.irrelevant_read_raw())
+    )
+    calls = []
+    acquire = TraceAlgebra.acquire
+    monkeypatch.setattr(TraceAlgebra, "acquire", lambda alg, K: calls.append(K) or acquire(alg, K))
+
+    def acquires(decide, t1, t2):
+        calls.clear()
+        assert decide("S", ctx, t1, t2, space).holds
+        return len(calls)
+
+    for _ in range(2):  # a second call evaluates again: no cache outlives a call
+        assert acquires(check_equal, read, chain) == 7
+        assert acquires(check_refines, chain, dead) == 7
 
 
 def test_denote_overview_term():

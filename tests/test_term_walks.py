@@ -14,17 +14,19 @@ import sys
 import pytest
 import recursive_reference as ref
 
-from tracealg import App, TermError, Var, build, builtin_translations
+from tracealg import App, TermError, Var, build, builtin_translations, check_equal
 from tracealg.checker import random_term
 from tracealg.cli import parse_term, term_to_sexpr
 from tracealg.kernel import (
     CEDE,
     HOLD,
     TermAlgebra,
+    bottom,
     check_sort,
     evaluate,
     fold,
     free_vars,
+    share,
     substitute,
 )
 from tracealg.theories import THEORY_NAMES, apply_translation
@@ -220,3 +222,22 @@ def test_walks_take_terms_deeper_than_the_recursion_limit():
     for _ in range(depth):
         chain = ("or", chain)
     assert height(check_sort(sig, ctx, chain)) == depth
+
+
+def test_share_makes_equal_deep_terms_one_node():
+    depth = 20_000
+    sig = build("S").signature
+    ctx = {"x": CEDE}
+    raw = "x"
+    for _ in range(depth // 2):
+        raw = ("acq", ("rel", raw))
+    t1, t2 = check_sort(sig, ctx, raw), check_sort(sig, ctx, raw)
+    assert t1 is not t2
+    a, b = share([t1, t2])
+    assert a is t1 and b is t1 and height(a) == depth
+    assert check_equal("S", ctx, t1, t2).holds
+    # a variable never meets a nullary operator of its name and sort
+    bot = bottom(sig, CEDE)
+    named = Var(bot.op, bot.sort)
+    shared = share([named, bot, Var(bot.op, bot.sort)])
+    assert shared[0] is named and shared[1] is bot and shared[2] is named

@@ -478,6 +478,88 @@ def test_canonicalize_and_missing_witness_match_references_on_random_sets():
     assert witnesses > 1000
 
 
+def padded_copies(K):
+    """The cede-start generators of ``K`` whose first step is a stutter and
+    whose remainder is a generator of ``K`` too."""
+    return {
+        g for g in K.generators
+        if g.start is CEDE and len(g.steps) > 1 and g.steps[0].is_stutter()
+        and Trace(CEDE, g.steps[1:], g.value_sort, g.value) in K.generators
+    }
+
+
+def ceded(K):
+    """``K`` relabelled to the ceding start sort, as ``acquire`` sees it."""
+    return sorted_set(CEDE, [Trace(CEDE, g.steps, g.value_sort, g.value) for g in K.generators])
+
+
+def test_canonicalize_drops_released_copies_as_the_pairwise_scan_does():
+    values = {"u": HOLD, "v": CEDE}
+    cfg = tracealg.SampleConfig(gens=(1, 4), length=(1, 3))
+    padded = 0
+    for n in (1, 2, 3):
+        space = StoreSpace(("x", "y", "z")[:n])
+        alg = TraceAlgebra(space)
+        rng = random.Random(f"released-copies-{n}")
+        for i in range(40 if n < 3 else 15):
+            K0, K1 = (tracealg.random_closed_set(space, CEDE, values, cfg, rng) for _ in range(2))
+            held = alg.release(K0)
+            loc = rng.randrange(n)
+            for _ in range(1 + i % 2):  # a second round pads the padded copies again
+                if rng.random() < 0.5:
+                    held = alg.update(loc, rng.randrange(2), held)
+                else:
+                    held = alg.lookup(loc, held, alg.release(K1))
+                K = ceded(held)
+                assert listing(canonicalize(K)) == listing(canonicalize_pairwise(K))
+                padded += len(padded_copies(K))
+                held = alg.release(K)
+    assert padded > 1000
+
+
+def padded_generator_set(rng, space, start):
+    """Random generators of one start sort, with copies behind a stutter
+    (some twice), behind a step that is no stutter, and with a stutter
+    appended: only the first kind may be dropped by lookup, and only when
+    the start sort cedes."""
+    gens = [
+        Trace(start, random_steps(rng, space, 1, 3), rng.choice((HOLD, CEDE)), rng.choice("uv"))
+        for _ in range(rng.randint(1, 5))
+    ]
+    for g in list(gens):
+        for _ in range(rng.randint(0, 2)):
+            st = rng.choice(space.stutters)
+            step = rng.choice(space.steps)
+            steps = rng.choice([(st,) + g.steps, (st, st) + g.steps, (step,) + g.steps, g.steps + (st,)])
+            gens.append(Trace(start, steps, g.value_sort, g.value))
+    return sorted_set(start, gens)
+
+
+def test_canonicalize_drops_padded_copies_as_the_pairwise_scan_does():
+    rng = random.Random(1403)
+    padded = 0
+    for _ in range(1500):
+        space = rng.choice((SP1, SP))
+        K = padded_generator_set(rng, space, rng.choice((HOLD, CEDE)))
+        assert listing(canonicalize(K)) == listing(canonicalize_pairwise(K))
+        padded += len(padded_copies(K))
+    assert padded > 500
+
+
+def test_canonicalize_survivors_are_confirmed_by_the_bounded_closure():
+    rng = random.Random(1404)
+    for _ in range(150):
+        K = padded_generator_set(rng, SP1, rng.choice((HOLD, CEDE)))
+        kept = canonicalize(K).generators
+        longest = max(len(g.steps) for g in K.generators)
+        assert kept <= K.generators
+        # every generator lies in the survivors' closure ...
+        assert K.generators <= closure_bounded(kept, SORTED, SP1, longest, slack=0)
+        # ... and no survivor in the closure of the others
+        for g in kept:
+            assert g not in closure_bounded(kept - {g}, SORTED, SP1, longest, slack=0)
+
+
 def chain_raw(k, n):
     """``k`` atomic blocks over ``n`` locations; block i writes i mod 2 to
     location i mod n, and the chain ends in the cede variable ``C``."""
