@@ -145,10 +145,6 @@ class Report:
 # Denotation
 
 
-def _space(space: StoreSpace | None) -> StoreSpace:
-    return space or StoreSpace()
-
-
 # Each theory is read in the free model of a base theory (J, V, G, S or B),
 # directly or through the built-in translation named here: Tr's operators are
 # ``TraceAlgebra`` operations, while Tgs goes through ``E_G`` into G.  Entries
@@ -205,9 +201,9 @@ def _reader(theory: str, ctx: Mapping[str, Sort], space: StoreSpace) -> tuple:
     return tr, alg, env, lambda t, table: gtable_to_traceset(space, table)
 
 
-def denote(theory: str, ctx: Mapping[str, Sort], t: Term, space: StoreSpace | None = None) -> TraceSet:
+def denote(theory: str, ctx: Mapping[str, Sort], t: Term, space: StoreSpace = StoreSpace()) -> TraceSet:
     """Evaluate in the theory's free model with the returning environment."""
-    tr, alg, env, finish = _reader(theory, ctx, _space(space))
+    tr, alg, env, finish = _reader(theory, ctx, space)
     if tr is not None:
         t = apply_translation(tr, t)
     return finish(t, evaluate(alg, env, t))
@@ -236,22 +232,21 @@ def _denote_all(
 _denote_as_traces = denote
 
 
-def denote_B(ctx: Mapping[str, Sort], t: Term, space: StoreSpace | None = None) -> TraceSet:
+def denote_B(ctx: Mapping[str, Sort], t: Term, space: StoreSpace = StoreSpace()) -> TraceSet:
     return denote("B", ctx, t, space)
 
 
-def denote_G(ctx: Mapping[str, Sort], t: Term, space: StoreSpace | None = None) -> GTable:
-    space = _space(space)
+def denote_G(ctx: Mapping[str, Sort], t: Term, space: StoreSpace = StoreSpace()) -> GTable:
     alg = GTableAlgebra(space)
     env = {name: variable_gtable(space, name) for name in ctx}
     return evaluate(alg, env, t)
 
 
 def check_refines(
-    theory: str, ctx: Mapping[str, Sort], t1: Term, t2: Term, space: StoreSpace | None = None
+    theory: str, ctx: Mapping[str, Sort], t1: Term, t2: Term, space: StoreSpace = StoreSpace()
 ) -> Verdict:
     """Does every behaviour of ``t1`` belong to ``t2``?"""
-    d1, d2 = _denote_all(theory, ctx, (t1, t2), _space(space))
+    d1, d2 = _denote_all(theory, ctx, (t1, t2), space)
     witness = missing_witness(d1, d2)
     if witness is None:
         return Verdict(True)
@@ -259,9 +254,9 @@ def check_refines(
 
 
 def check_equal(
-    theory: str, ctx: Mapping[str, Sort], t1: Term, t2: Term, space: StoreSpace | None = None
+    theory: str, ctx: Mapping[str, Sort], t1: Term, t2: Term, space: StoreSpace = StoreSpace()
 ) -> Verdict:
-    d1, d2 = _denote_all(theory, ctx, (t1, t2), _space(space))
+    d1, d2 = _denote_all(theory, ctx, (t1, t2), space)
     witness = missing_witness(d1, d2)
     if witness is not None:
         return Verdict(False, witness, "lhs ⊄ rhs")
@@ -417,11 +412,10 @@ def _validate_instances(
 def validate_axioms(
     theory: str,
     cfg: SampleConfig = SampleConfig(),
-    space: StoreSpace | None = None,
+    space: StoreSpace = StoreSpace(),
     bounds: Bounds = Bounds(),
 ) -> Report:
     """Evaluate every axiom instance under sampled environments."""
-    space = _space(space)
     instances = instantiate_axioms(build(theory, space), bounds)
     return _validate_instances(theory, instances, cfg, space, f"axioms of {theory}")
 
@@ -429,10 +423,9 @@ def validate_axioms(
 def validate_distributivity(
     theory: str,
     cfg: SampleConfig = SampleConfig(),
-    space: StoreSpace | None = None,
+    space: StoreSpace = StoreSpace(),
     bounds: Bounds = Bounds(),
 ) -> Report:
-    space = _space(space)
     instances = distributivity_instances(build(theory, space), bounds)
     return _validate_instances(
         theory, instances, cfg, space, f"distributivity over binary joins in {theory}"
@@ -442,11 +435,10 @@ def validate_distributivity(
 def validate_translation(
     name: str,
     cfg: SampleConfig = SampleConfig(),
-    space: StoreSpace | None = None,
+    space: StoreSpace = StoreSpace(),
     bounds: Bounds = Bounds(),
 ) -> Report:
     """Check that every source axiom translates to a target-valid equation."""
-    space = _space(space)
     tr = builtin_translations(space)[name]
     report = Report(f"translation {name}: {tr.source.name} ~> {tr.target.name}")
     for idx, inst in enumerate(instantiate_axioms(tr.source, bounds)):
@@ -464,10 +456,9 @@ def validate_translation(
 
 
 def cross_check_G(
-    t: Term, ctx: Mapping[str, Sort], space: StoreSpace | None = None
+    t: Term, ctx: Mapping[str, Sort], space: StoreSpace = StoreSpace()
 ) -> bool:
     """State-function semantics against the hold-sort trace semantics."""
-    space = _space(space)
     as_traces = denote("G", ctx, t, space)
     e = builtin_translations(space)["E"]
     image = denote("S", translate_context(e, ctx), apply_translation(e, t), space)
@@ -483,11 +474,10 @@ _ROUNDTRIP_PAIRS = {
 def check_roundtrip(
     pair: str,
     cfg: SampleConfig = SampleConfig(),
-    space: StoreSpace | None = None,
+    space: StoreSpace = StoreSpace(),
     depth: int = 3,
 ) -> Report:
     """Both composites of an equivalence must be identity translations."""
-    space = _space(space)
     if pair not in _ROUNDTRIP_PAIRS:
         raise ValueError(f"unknown pair {pair!r}; expected one of {sorted(_ROUNDTRIP_PAIRS)}")
     out_name, back_name, left, right = _ROUNDTRIP_PAIRS[pair]
@@ -525,10 +515,9 @@ def check_roundtrip(
 
 
 def check_representation(
-    t: Term, ctx: Mapping[str, Sort], space: StoreSpace | None = None
+    t: Term, ctx: Mapping[str, Sort], space: StoreSpace = StoreSpace()
 ) -> bool:
     """A term equals the reification of its own denotation."""
-    space = _space(space)
     d = denote("S", ctx, t, space)
     return check_equal("S", ctx, t, reify(space, d), space).holds
 
@@ -537,10 +526,9 @@ def check_representation(
 # The experiments
 
 
-def run_nogo2(depth: int = 3, space: StoreSpace | None = None) -> Report:
+def run_nogo2(depth: int = 3, space: StoreSpace = StoreSpace()) -> Report:
     """Sets built from read, write, and union always admit a trace whose
     transitions each change at most one cell; a raw transition set does not."""
-    space = _space(space)
     alg = BrookesAlgebra(space)
     seen: dict[frozenset, TraceSet] = {}
     base = alg.unit("v")
@@ -577,10 +565,9 @@ def run_nogo2(depth: int = 3, space: StoreSpace | None = None) -> Report:
 
 
 def run_nogo3(
-    cfg: SampleConfig = SampleConfig(), space: StoreSpace | None = None
+    cfg: SampleConfig = SampleConfig(), space: StoreSpace = StoreSpace()
 ) -> Report:
     """Both yield interpretations fix every closed set."""
-    space = _space(space)
     rng = random.Random(cfg.seed)
     report = Report("yield interpretations on sampled closed sets")
     for i in range(cfg.samples):

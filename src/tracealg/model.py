@@ -9,12 +9,16 @@ Each model names its operations after the operator kinds, and
 ``Algebra.apply`` dispatches to them.  All operations work on generators and
 are exact for the denoted closures, a fact the oracle tests pin down.
 
-One prefix rule, ``_prefixed``, puts runs of steps in front of every
-generator: Brookes transitions, reads and writes, ``yield1``, ``release`` and
-the ceding half of ``kleisli`` are built from it.  Stores and steps are ints
-(see ``store``): operations test locations with the space's masks and take
-every step they emit from its tables, and build results through
-``TraceSet._built``, since each generator starts at the sort it is made with.
+Two boundary rules put steps in front of generators.  A ceding boundary lets
+the environment run, so the steps on either side concatenate: ``_prefixed``
+builds Brookes transitions, reads and writes, ``yield1``, ``release`` and
+ceding ``kleisli``.  A held boundary holds the global lock, so the steps
+around it fuse into one: ``_fused`` builds ``TraceAlgebra.transition`` and
+held ``kleisli``.  ``update`` and ``lookup`` are the held rule over one
+location's bit, kept as mask loops since a generic ``_fused`` was slower per
+call.  Stores and steps are ints (see ``store``): operations test locations
+with masks, take every step they emit from the space's tables, and build
+results through ``TraceSet._built``, since each generator starts at its sort.
 """
 
 from __future__ import annotations
@@ -55,10 +59,32 @@ def unit(space: StoreSpace, sort: Sort, value: str) -> TraceSet:
     return TraceSet._built(sort, [Trace(sort, (st,), sort, value) for st in space.stutters])
 
 
+def _expect(K: TraceSet, sort: Sort) -> None:
+    if K.sort is not sort:
+        raise SortMismatch(f"expected a {sort.value}-sorted set, got {K.sort.value}")
+
+
 def _prefixed(start: Sort, runs: Sequence[tuple[Transition, ...]], K: TraceSet) -> list[Trace]:
     """The prefix rule: each generator of ``K`` behind each run of steps, from ``start``."""
     return [Trace(start, run + steps, value_sort, value)
             for _, steps, value_sort, value in K.generators for run in runs]
+
+
+def _fused(start: Sort, prefix: tuple[Transition, ...], step: Transition, K: TraceSet) -> set[Trace]:
+    """The fusion rule: each generator of the hold-sorted ``K`` whose first
+    step relies on the store ``step`` leaves, behind ``prefix`` and with
+    ``step`` fused into that first step, from ``start``.  Exact: the first
+    step of a hold-sorted trace keeps its source store under all sorted
+    deductions, so this computes the image of the closure."""
+    tables = step.tables
+    pre_of, post_of = tables.pre_of, tables.post_of
+    from_pre, mid = tables.step_of[pre_of[step]], post_of[step]
+    gens = set()
+    for _, steps, value_sort, value in K.generators:
+        first = steps[0]
+        if pre_of[first] is mid:
+            gens.add(Trace(start, prefix + (from_pre[post_of[first]],) + steps[1:], value_sort, value))
+    return gens
 
 
 class TraceAlgebra(Algebra):
@@ -88,13 +114,11 @@ class TraceAlgebra(Algebra):
         return TraceSet._built(sort, gens)
 
     def update(self, loc: int, bit: int, K: TraceSet) -> TraceSet:
-        """Union over input stores of prefixing with the store update.
-
-        A generator whose first transition relies on ``loc = bit`` is kept
-        as it is (from its own source store the update rebuilds it), and
-        once more with the first source's bit flipped; the others drop.
-        """
-        self._expect(K, HOLD)
+        """The held rule over one bit, the union over stores ``s`` of
+        ``_fused(HOLD, (), step(s, s with loc := bit), K)``: a generator
+        whose first step relies on ``loc = bit`` is kept, and once more with
+        that bit of its first source flipped; the others drop."""
+        _expect(K, HOLD)
         space = self.space
         mask = space.pre_mask(loc)
         want = mask if bit else 0
@@ -110,64 +134,43 @@ class TraceAlgebra(Algebra):
         return TraceSet._built(HOLD, gens)
 
     def lookup(self, loc: int, K0: TraceSet, K1: TraceSet) -> TraceSet:
-        """Branch on the bit at ``loc`` without changing the store: the
-        generators of ``K0`` relying on ``loc = 0`` and those of ``K1``
-        relying on ``loc = 1``, in one pass over each branch."""
-        self._expect(K0, HOLD)
-        self._expect(K1, HOLD)
+        """Branch on the bit at ``loc``, the held rule over one bit with
+        stutters: the generators of ``K0`` relying on ``loc = 0`` and those
+        of ``K1`` relying on ``loc = 1``, in one pass over each branch."""
+        _expect(K0, HOLD)
+        _expect(K1, HOLD)
         mask = self.space.pre_mask(loc)
         gens = {g for g in K0.generators if not g.steps[0] & mask}
         gens.update(g for g in K1.generators if g.steps[0] & mask)
         return TraceSet._built(HOLD, gens)
 
     def acquire(self, K: TraceSet) -> TraceSet:
-        self._expect(K, HOLD)
+        _expect(K, HOLD)
         gens = [Trace(CEDE, g.steps, g.value_sort, g.value) for g in K.generators]
         return canonicalize(TraceSet._built(CEDE, gens))
 
     def release(self, K: TraceSet) -> TraceSet:
-        self._expect(K, CEDE)
+        _expect(K, CEDE)
         return TraceSet._built(HOLD, set(_prefixed(HOLD, self._release_runs, K)))
 
     def transition(self, pre: Store, post: Store, K: TraceSet) -> TraceSet:
-        """Assert the store is ``pre`` and move it to ``post``: Tr's
-        operator, which agrees with translating the transition into S's
-        assert/update blocks (``E_TrS``).
-
-        Works on generators: the first transition of a hold-sorted trace
-        keeps its source store under all sorted deductions, so rewriting the
-        first transition of each matching generator computes the image of
-        the closure.
-        """
-        self._expect(K, HOLD)
-        space = self.space
-        pre_of, post_of, from_pre = space.pre_of, space.post_of, space.step_of[pre]
-        gens = set()
-        for g in K.generators:
-            steps = g.steps
-            first = steps[0]
-            if pre_of[first] == post:
-                steps = (from_pre[post_of[first]],) + steps[1:]
-                gens.add(Trace(HOLD, steps, g.value_sort, g.value))
-        return TraceSet._built(HOLD, gens)
+        """Assert the store is ``pre`` and move it to ``post``: Tr's operator,
+        which agrees with S's assert/update blocks under ``E_TrS``.  The step
+        fuses into each first step that relies on ``post``."""
+        _expect(K, HOLD)
+        return TraceSet._built(HOLD, _fused(HOLD, (), self.space.step_of[pre][post], K))
 
     def unit(self, sort: Sort, value: str) -> TraceSet:
         return unit(self.space, sort, value)
-
-    @staticmethod
-    def _expect(K: TraceSet, sort: Sort) -> None:
-        if K.sort is not sort:
-            raise SortMismatch(f"expected a {sort.value}-sorted set, got {K.sort.value}")
 
 
 def kleisli(env: Mapping[str, TraceSet], K: TraceSet) -> TraceSet:
     """Substitute continuations for values, generator by generator.
 
-    A ceding value splices the continuation's transitions after the prefix;
-    a held value must chain, fusing the boundary transitions around the
-    shared intermediate store.  Both parts follow from the ends-invariance
-    of closed sets, so generator pairs suffice.
-    """
+    A ceding value splices the continuation's transitions after the prefix
+    (``_prefixed``); a held value must chain, fusing the boundary transitions
+    around the shared intermediate store (``_fused``).  Both parts follow
+    from the ends-invariance of closed sets, so generator pairs suffice."""
     gens: set[Trace] = set()
     for g in K.generators:
         if g.value not in env:
@@ -181,17 +184,7 @@ def kleisli(env: Mapping[str, TraceSet], K: TraceSet) -> TraceSet:
         if g.value_sort is CEDE:
             gens.update(_prefixed(g.start, (g.steps,), cont))
         else:
-            last = g.steps[-1]
-            tables = last.tables
-            pre_of, post_of = tables.pre_of, tables.post_of
-            from_pre, post = tables.step_of[pre_of[last]], post_of[last]
-            prefix = g.steps[:-1]
-            for h in cont.generators:
-                first = h.steps[0]
-                if pre_of[first] is not post:
-                    continue
-                steps = prefix + (from_pre[post_of[first]],) + h.steps[1:]
-                gens.add(Trace(g.start, steps, h.value_sort, h.value))
+            gens.update(_fused(g.start, g.steps[:-1], g.steps[-1], cont))
     return TraceSet._built(K.sort, gens)
 
 
@@ -242,7 +235,7 @@ class BrookesAlgebra(Algebra):
         return TraceAlgebra.join(self, CEDE, args)
 
     def transition(self, pre: Store, post: Store, K: TraceSet) -> TraceSet:
-        self._expect(K)
+        _expect(K, CEDE)
         return TraceSet._built(CEDE, _prefixed(CEDE, ((self.space.step_of[pre][post],),), K))
 
     def unit(self, value: str) -> TraceSet:
@@ -250,33 +243,28 @@ class BrookesAlgebra(Algebra):
 
     def read(self, loc: int, K0: TraceSet, K1: TraceSet) -> TraceSet:
         """Branch on a location: a stutter records the store that was read."""
-        self._expect(K0)
-        self._expect(K1)
+        _expect(K0, CEDE)
+        _expect(K1, CEDE)
         mask, stutters = self.space.pre_mask(loc), self.space.stutters
         gens = set(_prefixed(CEDE, [(st,) for st in stutters if not st & mask], K0))
         gens.update(_prefixed(CEDE, [(st,) for st in stutters if st & mask], K1))
         return TraceSet._built(CEDE, gens)
 
     def write(self, loc: int, bit: int, K: TraceSet) -> TraceSet:
-        self._expect(K)
+        _expect(K, CEDE)
         space, mask = self.space, self.space.mask(loc)
         runs = [(space.step_of[s][s | mask if bit else s & ~mask],) for s in space.stores]
         return TraceSet._built(CEDE, set(_prefixed(CEDE, runs, K)))
 
     def kleisli(self, env: Mapping[str, TraceSet], K: TraceSet) -> TraceSet:
-        self._expect(K)
+        _expect(K, CEDE)
         return kleisli(env, K)
-
-    @staticmethod
-    def _expect(K: TraceSet) -> None:
-        if K.sort is not CEDE:
-            raise SortMismatch(f"brookes sets are cede-sorted, got a {K.sort.value}-sorted set")
 
 
 def strip_cede(K: TraceSet) -> TraceSet:
     """The ceded fragment seen as a brookes set; its generators must cede at
     their value, and are returned unchanged."""
-    BrookesAlgebra._expect(K)
+    _expect(K, CEDE)
     return brookes_set(K.generators)
 
 
@@ -286,8 +274,8 @@ embed_cede = strip_cede
 
 def par(K1: TraceSet, K2: TraceSet) -> TraceSet:
     """All order-preserving interleavings of generator pairs, valued ``(a,b)``."""
-    BrookesAlgebra._expect(K1)
-    BrookesAlgebra._expect(K2)
+    _expect(K1, CEDE)
+    _expect(K2, CEDE)
     gens = set()
     for g1 in K1.generators:
         for g2 in K2.generators:
@@ -309,7 +297,7 @@ def par(K1: TraceSet, K2: TraceSet) -> TraceSet:
 
 def yield1(K: TraceSet, space: StoreSpace) -> TraceSet:
     """Prefix every behaviour with an environment step (closure implicit)."""
-    BrookesAlgebra._expect(K)
+    _expect(K, CEDE)
     return TraceSet._built(CEDE, set(_prefixed(CEDE, [(st,) for st in space.stutters], K)))
 
 

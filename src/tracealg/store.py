@@ -186,9 +186,6 @@ class StoreSpace:
         for name, table in zip(Packing._fields, packing(len(self.locations))):
             object.__setattr__(self, name, table)
 
-    def __len__(self) -> int:
-        return len(self.stores)
-
     @property
     def width(self) -> int:
         return len(self.locations)

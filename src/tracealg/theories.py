@@ -432,8 +432,7 @@ def _build_cached(name: str, locations: tuple[str, ...]) -> Presentation:
     return _build_uncached(name, StoreSpace(locations))
 
 
-def build(name: str, space: StoreSpace | None = None) -> Presentation:
-    space = space or StoreSpace()
+def build(name: str, space: StoreSpace = StoreSpace()) -> Presentation:
     return _build_cached(name, space.locations)
 
 
@@ -562,8 +561,7 @@ def _builtin_cached(locations: tuple[str, ...]) -> dict[str, Translation]:
     }
 
 
-def builtin_translations(space: StoreSpace | None = None) -> dict[str, Translation]:
-    space = space or StoreSpace()
+def builtin_translations(space: StoreSpace = StoreSpace()) -> dict[str, Translation]:
     return dict(_builtin_cached(space.locations))
 
 

@@ -2,10 +2,21 @@ import json
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from tracealg import CEDE, HOLD, STAR, StoreSpace, TermError, build, check_sort
+from tracealg import (
+    CEDE,
+    HOLD,
+    STAR,
+    App,
+    StoreSpace,
+    TermError,
+    Var,
+    build,
+    builtin_translations,
+    check_sort,
+)
 from tracealg.cli import (
     ParseError,
     _parse_sexpr,
@@ -494,3 +505,126 @@ def test_fuzzed_term_files_fail_cleanly(tmp_path, capsys, theory, locs, words):
         assert main(["denote", str(path), "t"]) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: \d+:\d+: [^\n]+\n", err)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing past parsing: every command on files whose terms parse, and every
+# directive line, ends in a verdict, a listing, or one positioned error
+
+
+@st.composite
+def parsing_files(draw):
+    """A theory and a term file at one or two locations whose terms ``l``
+    and ``r`` parse: both are drawn from the signature at one sort, to
+    depth 3, and printed by ``term_to_sexpr``."""
+    theory = draw(st.sampled_from(["S", "Tr", "B", "G", "Tgs"]))
+    locations = ("x", "y")[: draw(st.integers(1, 2))]
+    p = build(theory, StoreSpace(locations))
+    ctx = {"a": HOLD, "b": CEDE} if theory in ("S", "Tr") else {"a": STAR, "b": STAR}
+    ops = sorted(p.signature.operators.values(), key=lambda op: op.name)
+
+    def term(sort, depth):
+        here = [op for op in ops if op.result is sort] if depth else []
+        pick = draw(st.integers(0, len(here)))
+        if not pick:
+            return Var(draw(st.sampled_from([v for v, s in ctx.items() if s is sort])), sort)
+        op = here[pick - 1]
+        arity = draw(st.integers(0, 2)) if op.variadic else len(op.args)
+        return App(op.name, tuple(term(s, depth - 1) for s in op.scheme(arity)), sort)
+
+    sort = draw(st.sampled_from(sorted(set(ctx.values()), key=lambda s: s.order)))
+    lhs, rhs = (term_to_sexpr(term(sort, 3), p) for _ in range(2))
+    for printed in (lhs, rhs):
+        # a def line gives no sort, so a top-level nullary join at two
+        # sorts ("def r = bot" in S) does not parse; such files are skipped
+        try:
+            parse_term(printed, p, ctx)
+        except (ParseError, TermError):
+            assume(False)
+    text = (
+        f"theory {theory}\nlocs {' '.join(locations)}\n"
+        + "".join(f"var {v} : {s.value}\n" for v, s in ctx.items())
+        + f"def l = {lhs}\ndef r = {rhs}\n"
+    )
+    return theory, text
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(case=parsing_files())
+def test_commands_on_parsing_files_end_cleanly(tmp_path, capsys, case):
+    theory, text = case
+    path = tmp_path / "fuzz.talg"
+    path.write_text(text)
+    assert {"l", "r"} <= parse_file(str(path)).terms.keys()
+    commands = [["eq", "l", "r"], ["refines", "l", "r"], ["refines", "r", "l"],
+                ["denote", "l"], ["denote", "l", "--json"]]
+    commands += [["translate", "l", "--from", theory, "--to", tr.target.name]
+                 for tr in builtin_translations().values() if tr.source.name == theory]
+    if theory == "B":
+        commands.append(["par", "l", "r"])
+    for argv in commands:
+        code = main([argv[0], str(path), *argv[1:]])
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert re.fullmatch(r"error: [^\n]+\n", err), (argv, err)
+        elif argv[0] in ("eq", "refines"):
+            verdict = r"holds\n" if code == 0 else r"refuted \((lhs|rhs) ⊄ (lhs|rhs)\): [^\n]+\n"
+            assert code in (0, 1) and re.fullmatch(verdict, out) and err == "", (argv, out, err)
+        else:
+            assert code == 0 and err == "", (argv, code, err)
+
+
+DIRECTIVE_LINES = [
+    "theory S", "theory B", "theory Tr", "theory G", "theory Tgs", "theory J", "theory Q",
+    "theory", "theory S B", "locs x", "locs x y", "locs y x", "locs x x", "locs",
+    "locs a b c d e", "locs x(y", "var a : hold", "var a : cede", "var a : star",
+    "var b : cede", "var a", "var a hold", "var bot : hold", "var a : frob", "var (a : star",
+    "def t = a", "def t = b", "def t = (acq (rel a))", "def t = (or)", "def t = (upd x 0 a)",
+    "def t = (tr 0 1 a)", "def t = (lkp y a a)", "def t =", "def = a", "def t a", "def t = (",
+    "", "# a comment", "def",
+]
+
+
+DIRECTIVES = st.sampled_from(DIRECTIVE_LINES)
+JUNK = st.text(alphabet="atx01:=()# \t", max_size=10)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    head=st.sampled_from([[], ["theory S", "var a : hold"], ["theory B", "locs x y", "var a : star"]]),
+    lines=st.lists(
+        st.one_of(DIRECTIVES, DIRECTIVES, st.tuples(DIRECTIVES, JUNK).map(" ".join), JUNK),
+        max_size=8,
+    ),
+)
+def test_fuzzed_directive_lines_fail_at_a_line_of_the_file(tmp_path, capsys, head, lines):
+    # junk words, and repeated or misplaced theory, locs, var and def lines
+    lines = head + lines
+    path = tmp_path / "fuzz.talg"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    try:
+        terms = parse_file(str(path)).terms
+    except ParseError:
+        for argv in (["denote", str(path), "t"], ["eq", str(path), "t", "t"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            at = re.fullmatch(r"error: (\d+):(\d+): [^\n]+\n", err)
+            assert at and 1 <= int(at[1]) <= max(1, len(lines)) and int(at[2]) >= 1, err
+    else:
+        code = main(["denote", str(path), "t"])
+        err = capsys.readouterr().err
+        assert (code, err) == (0, "") if "t" in terms else (
+            code == 2 and err == "error: no term named 't' in the file\n"
+        ), (code, err)

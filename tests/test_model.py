@@ -574,6 +574,58 @@ def test_trace_operations_equal_store_scans(space):
             assert ref_gens(kleisli(env, K)) == ref_kleisli(ref_env(env), ref_gens(K))
 
 
+def fused_by_definition(start, prefix, step, K):
+    """``model._fused`` read off its docstring, through the checked
+    ``Transition`` constructor and its ``pre``/``post`` properties."""
+    return {
+        Trace(start, prefix + (Transition(step.pre, h.steps[0].post),) + h.steps[1:],
+              h.value_sort, h.value)
+        for h in K.generators
+        if h.steps[0].pre is step.post
+    }
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
+def test_held_operations_are_the_fusion_rule(space):
+    from tracealg.model import _fused
+
+    def fused(start, prefix, step, K):
+        got = _fused(start, prefix, step, K)
+        assert got == fused_by_definition(start, prefix, step, K)
+        return got
+
+    rng = random.Random(40 + len(space.locations))
+    alg = TraceAlgebra(space)
+    step_of, stutters = space.step_of, space.stutters
+    for _ in range(40):
+        env = {"u": raw_set(space, HOLD, rng, least=1), "v": raw_set(space, CEDE, rng)}
+        # multi-generator sets as the model makes them, beside raw ones
+        released = alg.release(raw_set(space, CEDE, rng, least=1))
+        bound = kleisli(env, raw_set(space, HOLD, rng, least=1))
+        sets = [raw_set(space, HOLD, rng), raw_set(space, HOLD, rng), released, bound]
+        for K, L in zip(sets, sets[1:] + sets[:1]):
+            for loc in range(space.width):
+                mask = space.mask(loc)
+                for bit in (0, 1):
+                    want = set()
+                    for s in space.stores:
+                        want |= fused(HOLD, (), step_of[s][s | mask if bit else s & ~mask], K)
+                    assert alg.update(loc, bit, K).generators == want
+                want = set()
+                for s in space.stores:
+                    want |= fused(HOLD, (), stutters[s], L if s & mask else K)
+                assert alg.lookup(loc, K, L).generators == want
+            pre, post = rng.choice(space.stores), rng.choice(space.stores)
+            assert alg.transition(pre, post, K).generators == fused(HOLD, (), step_of[pre][post], K)
+        for K in (raw_set(space, HOLD, rng, least=1), raw_set(space, CEDE, rng, least=1),
+                  released, bound):
+            K = sorted_set(K.sort, [g for g in K.generators if g.value_sort is HOLD])
+            want = set()
+            for g in K.generators:
+                want |= fused(g.start, g.steps[:-1], g.steps[-1], env[g.value])
+            assert kleisli(env, K).generators == want
+
+
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
 def test_acquire_returns_its_canonical_form(space):
     # small sets too: release's stutter-prefixed generators are deducible

@@ -13,6 +13,7 @@ from tracealg import (
     CEDE,
     HOLD,
     SORTED,
+    BrookesAlgebra,
     BudgetExceeded,
     SortMismatch,
     Store,
@@ -29,9 +30,12 @@ from tracealg import (
     denote,
     equal,
     member,
+    par,
     sorted_set,
     step_deductions,
+    strip_cede,
     subset,
+    yield1,
 )
 from tracealg.traces import (
     _closure_key,
@@ -667,11 +671,36 @@ def test_prefix_identity_on_matching_stutter():
     assert equal(TraceAlgebra(SP).transition(ST["10"], ST["10"], K), K)
 
 
-def test_prefix_requires_held_sorted_set():
-    with pytest.raises(SortMismatch):
-        TraceAlgebra(SP).transition(ST["11"], ST["10"], sorted_set(CEDE, []))
-    with pytest.raises(SortMismatch):
-        TraceAlgebra(SP).transition(ST["11"], ST["10"], brookes_set([]))
+_TA, _BA = TraceAlgebra(SP), BrookesAlgebra(SP)
+_HELD, _CEDED = sorted_set(HOLD, []), brookes_set([])
+
+# Each operation that checks its set's sort, given an empty set of the wrong
+# sort, and the sort it expects.
+SORT_CHECKS = {
+    "TraceAlgebra.update": (lambda K: _TA.update(0, 1, K), HOLD),
+    "TraceAlgebra.lookup-0": (lambda K: _TA.lookup(0, K, _HELD), HOLD),
+    "TraceAlgebra.lookup-1": (lambda K: _TA.lookup(0, _HELD, K), HOLD),
+    "TraceAlgebra.acquire": (_TA.acquire, HOLD),
+    "TraceAlgebra.release": (_TA.release, CEDE),
+    "TraceAlgebra.transition": (lambda K: _TA.transition(ST["11"], ST["10"], K), HOLD),
+    "BrookesAlgebra.transition": (lambda K: _BA.transition(ST["11"], ST["10"], K), CEDE),
+    "BrookesAlgebra.read-0": (lambda K: _BA.read(0, K, _CEDED), CEDE),
+    "BrookesAlgebra.read-1": (lambda K: _BA.read(0, _CEDED, K), CEDE),
+    "BrookesAlgebra.write": (lambda K: _BA.write(0, 1, K), CEDE),
+    "BrookesAlgebra.kleisli": (lambda K: _BA.kleisli({}, K), CEDE),
+    "strip_cede": (strip_cede, CEDE),
+    "par-0": (lambda K: par(K, _CEDED), CEDE),
+    "par-1": (lambda K: par(_CEDED, K), CEDE),
+    "yield1": (lambda K: yield1(K, SP), CEDE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SORT_CHECKS))
+def test_operations_require_their_sets_sort(name):
+    op, want = SORT_CHECKS[name]
+    wrong = _CEDED if want is HOLD else _HELD
+    with pytest.raises(SortMismatch, match=f"expected a {want.value}-sorted set, got {wrong.sort.value}"):
+        op(wrong)
 
 
 def test_prefix_commutes_with_closure():
