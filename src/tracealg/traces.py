@@ -9,8 +9,11 @@ model operations, which build and hash many traces, do C-level work on each;
 only its constructor's checks run in Python.  Closed sets of traces are
 represented by finite generator sets; the closure itself is countably
 infinite and never materialised.  Membership in a closure is decided by a
-bit-parallel dynamic program on each generator compiled once into bitmasks
-(``_compile``), validated exhaustively against the bounded closure.
+bit-parallel dynamic program: the generators that share start sort, value
+sort and value are compiled once, side by side, into one bitmask per store
+and kind (``_compile``), and one pass over a candidate's steps advances all
+of them at once (``_gen_contains``); it is validated exhaustively against
+the bounded closure.
 
 Closure follows one rule: a stutter may be inserted at the very front only
 when the start sort cedes control, and at the very back only when the value
@@ -36,8 +39,9 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .kernel import CEDE, HOLD, Sort, SortMismatch
 from .store import StoreSpace, Transition
@@ -131,6 +135,15 @@ class TraceSet:
 
     def is_empty(self) -> bool:
         return not self.generators
+
+    @cached_property
+    def _classes(self) -> dict[tuple, _Class]:
+        """The generators by value sort and value, each group compiled once
+        as one class for ``member``; the set is immutable, so this stays."""
+        groups: dict[tuple, list[Trace]] = {}
+        for g in self.generators:
+            groups.setdefault((g[2], g[3]), []).append(g)
+        return {key: _compile(group) for key, group in groups.items()}
 
     def ordered(self) -> list[Trace]:
         return sorted(self.generators, key=Trace.key)
@@ -248,62 +261,93 @@ def closure_bounded(
 # Closure membership without materialising the closure
 
 
-def _compile(g: Trace) -> tuple:
-    """``g`` as the bitmasks ``_gen_contains`` steps with, built once.
+class _Class(NamedTuple):
+    """Generators laid side by side as the bitmasks ``_gen_contains`` steps
+    with; see ``_compile``."""
 
-    Bit ``i`` stands for generator step ``i``: ``by_pre[s]`` and
-    ``by_post[s]`` mark the steps that rely on and leave store ``s`` (stores
-    are ints ``0..2^n-1``, so a list indexed by store holds them), and
-    ``chained`` the steps whose pre store is the post store of the step
-    before.  The last entry is the accepting bit, one past the last step.
+    by_pre: list[int]
+    by_post: list[int]
+    chained: int
+    accept: int
+    heads: int
+    offsets: list[int]
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _compile(gens: list[Trace]) -> _Class:
+    """``gens``, which share start sort, value sort and value, as one class.
+
+    Generator ``k`` takes ``len(steps) + 1`` consecutive bits from
+    ``offsets[k]``, its head: one per step, then its accepting bit.
+    ``by_pre[s]`` and ``by_post[s]`` mark the steps that rely on and leave
+    store ``s`` (stores are ints ``0..2^n-1``, so a list indexed by store
+    holds them), ``chained`` the steps whose pre store is the post store of
+    the step before, ``accept`` the accepting bits and ``heads`` the heads.
+    No mask but ``accept`` marks an accepting bit, so it separates each
+    generator from the next: neither the carry nor the shift of
+    ``_gen_contains`` crosses it.  Each store's masks are first written one
+    byte per bit, highest bit first, and read as a binary numeral: setting
+    bits in a growing int would copy it at every step, which is quadratic
+    in the class length, and this is linear.
     """
-    start, steps, value_sort, value = g
-    tables = steps[0].tables
+    tables = gens[0][1][0].tables
     pre_of, post_of = tables.pre_of, tables.post_of
-    by_pre = [0] * len(tables.stores)
-    by_post = by_pre[:]
-    chained = 0
-    bit = 1
-    post = None
-    for step in steps:
-        pre = pre_of[step]
-        if pre is post:
-            chained |= bit
-        post = post_of[step]
-        by_pre[pre] |= bit
-        by_post[post] |= bit
-        bit <<= 1
-    return start, value_sort, value, by_pre, by_post, chained, bit
+    width = sum([len(g[1]) for g in gens]) + len(gens)
+    pre_rows = [bytearray(width) for _ in tables.stores]
+    post_rows = [bytearray(width) for _ in tables.stores]
+    offsets = []
+    i = width  # bit b is byte width - 1 - b
+    for g in gens:
+        offsets.append(width - i)
+        for step in g[1]:
+            i -= 1
+            pre_rows[pre_of[step]][i] = 1
+            post_rows[post_of[step]][i] = 1
+        i -= 1  # the accepting bit
+    by_pre = [int(row.translate(_DIGITS), 2) for row in pre_rows]
+    by_post = [int(row.translate(_DIGITS), 2) for row in post_rows]
+    steps = chained = 0
+    for relies, leaves in zip(by_pre, by_post):
+        steps |= relies
+        chained |= relies & leaves << 1
+    accept = ((1 << width) - 1) ^ steps
+    heads = (accept << 1 | 1) ^ (1 << width)
+    return _Class(by_pre, by_post, chained, accept, heads, offsets)
 
 
-def _gen_contains(c: tuple, t: Trace) -> bool:
-    """Decide whether ``t`` is deducible from the generator compiled as ``c``.
+def _gen_contains(c: _Class, t: Trace, reach: int) -> bool:
+    """Decide whether ``t`` is deducible from a generator of the class ``c``
+    whose head bit is set in ``reach``.
 
-    ``t`` must assign every position either a fused block of consecutive
-    chained generator steps (in order, jointly covering all of them) or an
-    inserted stutter; end positions accept a stutter only where the sorts
-    cede.  ``reach`` has bit ``i`` set when some prefix of ``t`` deduces
-    from the first ``i`` generator steps.  A step of ``t`` starts a block at
-    each reached generator step that relies on its pre store; adding those
-    starts to the chained runs they begin carries each one past the end of
-    its run, so the bits the addition clears, and the starts (a second start
-    in one run is set again by its own addend), are the steps a block covers.
+    ``t`` must have the class's start sort, value sort and value, and assign
+    every position either a fused block of consecutive chained generator
+    steps (in order, jointly covering all of them) or an inserted stutter;
+    end positions accept a stutter only where the sorts cede.  ``reach`` has
+    the bit of a generator's step ``i`` set when some prefix of ``t``
+    deduces from that generator's first ``i`` steps, so it starts at the
+    heads.  A step of ``t`` starts a block at each reached generator step
+    that relies on its pre store; adding those starts to the chained runs
+    they begin carries each one past the end of its run, so the bits the
+    addition clears, and the starts (a second start in one run is set again
+    by its own addend), are the steps a block covers.  A carry out of a
+    generator's last step stops at its accepting bit, which no run holds.
+    All the class's generators advance together, one int operation per
+    mask and step.
     """
-    start, value_sort, value, by_pre, by_post, chained, accept = c
-    t_start, steps, t_value_sort, t_value = t
-    if start is not t_start or value_sort is not t_value_sort or value != t_value:
-        return False
+    by_pre, by_post, chained, accept, _, _ = c
+    start, steps, value_sort, _ = t
     tables = steps[0].tables
     pre_of, post_of = tables.pre_of, tables.post_of
     front_ok = start is CEDE
     back_ok = value_sort is CEDE
     last = len(steps) - 1
-    reach = 1
     for j, step in enumerate(steps):
         pre, post = pre_of[step], post_of[step]
         starts = reach & by_pre[pre]
         run = chained | starts
-        nxt = ((run & ~(run + starts) | starts) & by_post[post]) << 1
+        nxt = ((run & (run ^ (run + starts)) | starts) & by_post[post]) << 1
         if pre is post and (j or front_ok) and (j < last or back_ok):
             nxt |= reach
         reach = nxt
@@ -316,9 +360,13 @@ def member(t: Trace, K: TraceSet) -> bool:
     """Is ``t`` in the closure of ``K``'s generators?
 
     Both deductions are unary, so the closure of a union is the union of the
-    closures and membership is a disjunction over generators.
+    closures, and only generators with ``t``'s sorts and value can deduce
+    it: ``t`` is tested once against that class of ``K``, compiled once.
     """
-    return any(_gen_contains(_compile(g), t) for g in K.generators)
+    if t.start is not K.sort:
+        return False
+    c = K._classes.get((t.value_sort, t.value))
+    return c is not None and _gen_contains(c, t, c.heads)
 
 
 def _check_comparable(a: TraceSet, b: TraceSet) -> None:
@@ -368,7 +416,8 @@ def missing_witness(a: TraceSet, b: TraceSet) -> Trace | None:
 
     Only ``b``'s generators with the same ``_closure_key`` can deduce a
     generator of ``a``, so each is tested against that class alone; a
-    class's set is built the first time a generator of ``a`` needs it.
+    class's set is built, and compiled by ``member``, the first time a
+    generator of ``a`` needs it.
     """
     _check_comparable(a, b)
     classes: dict[tuple, list[Trace]] = {}
@@ -395,6 +444,10 @@ def canonicalize(K: TraceSet) -> TraceSet:
     A generator can only be deduced from one with the same
     ``_closure_key``, so the scan runs within each key's class; the
     survivors are those of a scan over the whole set in the same order.
+    Each class is compiled once, and each generator is tested once against
+    it with the heads enabled of the generators after it and of the
+    survivors before it: its own head is cleared for its test and set back
+    only if it survives.
 
     Before the scan, a cede-start generator ``g`` whose first step is a
     stutter is dropped without a membership test when its remainder ``r``
@@ -434,10 +487,12 @@ def canonicalize(K: TraceSet) -> TraceSet:
                 kept.extend(group)
                 continue
             group.sort(key=Trace.key, reverse=True)
-            compiled = [_compile(g) for g in group]
-            surviving: list[tuple] = []
-            for idx, t in enumerate(group):
-                if not any(_gen_contains(c, t) for c in compiled[idx + 1 :] + surviving):
-                    surviving.append(compiled[idx])
+            c = _compile(group)
+            enabled = c.heads
+            for t, offset in zip(group, c.offsets):
+                head = 1 << offset
+                enabled ^= head
+                if not _gen_contains(c, t, enabled):
+                    enabled |= head
                     kept.append(t)
     return TraceSet._built(K.sort, kept)

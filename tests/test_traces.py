@@ -1,7 +1,10 @@
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +50,9 @@ from tracealg.traces import (
 )
 from tuple_reference import (
     RefTransition,
+    ref_canonicalize,
     ref_gen_contains,
+    ref_gens,
     ref_key,
     ref_normal_form,
     ref_step,
@@ -420,21 +425,12 @@ def test_canonicalize_deterministic_given_equal_closures():
 
 
 def canonicalize_pairwise(K):
-    """``canonicalize`` without closure classes: every pair of generators
-    that share start sort, value sort and value is compared."""
-    buckets = {}
-    for g in K.generators:
-        buckets.setdefault((g.start, g.value_sort, g.value), []).append(g)
-    kept = []
-    for _, group in sorted(buckets.items(), key=lambda kv: kv[0][2]):
-        group.sort(key=Trace.key, reverse=True)
-        surviving = []
-        for idx, t in enumerate(group):
-            rest = group[idx + 1 :] + surviving
-            if not any(_gen_contains(_compile(g), t) for g in rest):
-                surviving.append(t)
-        kept.extend(surviving)
-    return TraceSet(K.sort, frozenset(kept))
+    """``canonicalize`` by the tuple reference: every pair of generators
+    that share start sort, value sort and value is compared by
+    ``ref_gen_contains``, without closure classes or compiled masks."""
+    by_ref = {ref_trace(g): g for g in K.generators}
+    kept = ref_canonicalize(frozenset(by_ref))
+    return TraceSet(K.sort, frozenset(by_ref[r] for r in kept))
 
 
 def missing_witness_unindexed(a, b):
@@ -747,6 +743,14 @@ def test_first_store_invariance_of_held_deductions():
 SPACES = [StoreSpace(tuple(f"l{i}" for i in range(n))) for n in (1, 2, 3)]
 
 
+def class_contains(gens, t, enabled=None):
+    """``t`` tested once against ``gens`` compiled as one class, from the
+    heads of the generators at the indices in ``enabled`` (default all)."""
+    c = _compile(list(gens))
+    reach = c.heads if enabled is None else sum(1 << c.offsets[i] for i in enabled)
+    return _gen_contains(c, t, reach)
+
+
 def deduced_from(g, rng, space):
     """``g`` after up to three random one-step deductions."""
     t = g
@@ -770,7 +774,7 @@ def test_packed_deciders_equal_tuple_references_on_random_pairs():
         else:
             t = Trace(start, random_steps(rng, space, 1, 5), vsort, "v")
         rg, rt = ref_trace(g), ref_trace(t)
-        got = _gen_contains(_compile(g), t)
+        got = class_contains([g], t)
         assert got == ref_gen_contains(rg, rt)
         hits += got
         for x, rx in ((g, rg), (t, rt)):
@@ -809,7 +813,7 @@ def test_compiled_membership_equals_tuple_reference_on_long_chained_generators()
                 break
             t = rng.choice(succ)
         for h in (g, other):
-            got = _gen_contains(_compile(h), t)
+            got = class_contains([h], t)
             assert got == ref_gen_contains(ref_trace(h), ref_trace(t)), (h, t)
             hits += got
             misses += not got
@@ -859,7 +863,155 @@ def test_compiled_membership_hand_cases():
         g = Trace(start, s1(g_steps), vsort, "v")
         t = Trace(start, s1(t_steps), vsort, "v")
         assert ref_gen_contains(ref_trace(g), ref_trace(t)) == want, case
-        assert _gen_contains(_compile(g), t) == want, case
+        assert class_contains([g], t) == want, case
+
+
+def random_class(rng):
+    """1-6 distinct generators of lengths 1-5 over 1-3 locations that share
+    start sort, value sort and value; half the time all but the first are
+    deductions of the first, so that one generator deduces another."""
+    space = rng.choice(SPACES)
+    start, vsort = rng.choice((HOLD, CEDE)), rng.choice((HOLD, CEDE))
+    gens = [Trace(start, random_steps(rng, space, 1, 5), vsort, "v")]
+    related = rng.random() < 0.5
+    for _ in range(rng.randint(0, 5)):
+        g = deduced_from(gens[0], rng, space) if related else Trace(
+            start, random_steps(rng, space, 1, 5), vsort, "v")
+        if len(g.steps) <= 5 and g not in gens:
+            gens.append(g)
+    return space, gens
+
+
+def test_class_membership_equals_tuple_reference_on_random_classes():
+    rng = random.Random(16)
+    hits = misses = 0
+    for _ in range(2000):
+        space, gens = random_class(rng)
+        enabled = [i for i in range(len(gens)) if rng.random() < 0.6]
+        g = rng.choice(gens)
+        t = deduced_from(g, rng, space) if rng.random() < 0.7 else Trace(
+            g.start, random_steps(rng, space, 1, 5), g.value_sort, "v")
+        want = any(ref_gen_contains(ref_trace(gens[i]), ref_trace(t)) for i in enabled)
+        assert class_contains(gens, t, enabled) == want, (gens, enabled, t)
+        hits += want
+        misses += not want
+    assert hits > 500 and misses > 500
+
+
+def test_class_layout_stops_each_carry_at_its_accepting_bit():
+    # g0's chained run 0->1->0 ends at its last step, and g1's first step
+    # relies on store 0, so one step (0,0) of t starts blocks at both heads
+    # and carries g0's run into its accepting bit, which no mask but
+    # ``accept`` holds
+    g0 = Trace(HOLD, s1(["01", "10"]), HOLD, "v")
+    g1 = Trace(HOLD, s1(["00", "01"]), HOLD, "v")
+    c = _compile([g0, g1])
+    assert c.offsets == [0, 3]
+    assert (c.heads, c.accept, c.chained) == (0b001001, 0b100100, 0b010010)
+    for mask in c.by_pre + c.by_post + [c.chained, c.heads]:
+        assert not mask & c.accept
+    cases = [
+        (["00"], {0}),            # g0 fused into one step
+        (["00", "01"], {1}),      # g1 itself; g0's accepted bit starts nothing
+        (["01", "10"], {0}),
+        (["00", "00"], set()),
+        (["01", "10", "00", "01"], set()),  # g0 then g1 is no generator
+        (["01", "00", "01"], set()),
+    ]
+    for t_steps, deducing in cases:
+        t = Trace(HOLD, s1(t_steps), HOLD, "v")
+        for enabled in ([], [0], [1], [0, 1]):
+            want = any(ref_gen_contains(ref_trace((g0, g1)[i]), ref_trace(t)) for i in enabled)
+            assert want == bool(deducing & set(enabled)), (t_steps, enabled)
+            assert class_contains([g0, g1], t, enabled) == want, (t_steps, enabled)
+
+
+def test_canonicalize_equals_tuple_reference_on_random_sets():
+    rng = random.Random(17)
+    dropped = 0
+    for _ in range(300):
+        space = rng.choice(SPACES)
+        start = rng.choice((HOLD, CEDE))
+        gens = set()
+        for _ in range(rng.randint(1, 4)):
+            base = Trace(start, random_steps(rng, space, 1, 4), rng.choice((HOLD, CEDE)),
+                         rng.choice("uv"))
+            gens.add(base)
+            for _ in range(rng.randint(0, 12)):
+                gens.add(deduced_from(base, rng, space))
+        K = sorted_set(start, gens)
+        got = canonicalize(K)
+        assert ref_gens(got) == ref_canonicalize(ref_gens(K))
+        dropped += len(K.generators) - len(got.generators)
+    assert dropped > 1000
+
+
+def test_subset_and_missing_witness_compile_each_class_once(monkeypatch):
+    rng = random.Random(18)
+    compiled = []
+    inner = tracealg.traces._compile
+
+    def counting(gens):
+        compiled.append(frozenset(gens))
+        return inner(gens)
+
+    monkeypatch.setattr(tracealg.traces, "_compile", counting)
+    for _ in range(200):
+        a, b = random_generator_pair(rng)
+        compiled.clear()
+        subset(a, b)
+        assert len(compiled) == len(set(compiled))
+        assert len(compiled) <= len({(h.value_sort, h.value) for h in b.generators})
+        subset(a, b)  # b holds its classes compiled
+        assert len(compiled) == len(set(compiled))
+        compiled.clear()
+        missing_witness(a, b)
+        assert len(compiled) == len(set(compiled))
+        keys = {_closure_key(h) for h in b.generators}
+        assert len(compiled) <= len({_closure_key(g) for g in a.generators} & keys)
+
+
+HASH_SEED_SCRIPT = """
+import tracealg.traces as traces
+from tracealg import CEDE, StoreSpace, build, check_sort, checker
+
+calls = [0]
+inner = traces._gen_contains
+
+def counted(*args):
+    calls[0] += 1
+    return inner(*args)
+
+traces._gen_contains = counted
+
+def chain(k, n):
+    t = "C"
+    for i in reversed(range(k)):
+        t = ("acq", (f"upd:l{i % n}:{i % 2}", ("rel", t)))
+    return t
+
+for k, n in ((8, 1), (4, 2), (3, 3)):
+    space = StoreSpace(tuple(f"l{i}" for i in range(n)))
+    sig = build("S", space).signature
+    ctx = {"C": CEDE}
+    c = check_sort(sig, ctx, chain(k, n))
+    dead = check_sort(sig, ctx, ("acq", ("upd:l0:1", ("rel", chain(k, n)))))
+    assert checker.check_refines("S", ctx, c, dead, space).holds
+    assert not checker.check_refines("S", ctx, dead, c, space).holds
+print(calls[0])
+"""
+
+
+def test_gen_contains_calls_do_not_depend_on_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tracealg.__file__)))
+    counts = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        counts.append(int(proc.stdout))
+    assert counts[0] == counts[1] > 0
 
 
 def test_trace_key_orders_as_the_tuple_key():
