@@ -120,12 +120,15 @@ class Signature:
     aliases: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     # The first join operator of each sort, derived from ``operators``, and,
     # where that join accepts zero arguments, its empty application: one
-    # term per sort.
+    # term per sort.  Every other operator by its kind and parameters, the
+    # first where two share them.
     _joins: Mapping[Sort, Operator] = field(init=False, repr=False, compare=False)
     _bottoms: Mapping[Sort, "App"] = field(init=False, repr=False, compare=False)
+    _by_kind: Mapping[tuple, Operator] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         joins: dict[Sort, Operator] = {}
+        by_kind: dict[tuple, Operator] = {}
         for name, op in self.operators.items():
             if name != op.name:
                 raise ValueError(f"operator {op.name} keyed as {name}")
@@ -134,7 +137,10 @@ class Signature:
                 raise ValueError(f"operator {name} mentions sorts outside the signature")
             if op.kind == "join":
                 joins.setdefault(op.result, op)
+            else:
+                by_kind.setdefault((op.kind, op.params), op)
         object.__setattr__(self, "_joins", joins)
+        object.__setattr__(self, "_by_kind", by_kind)
         object.__setattr__(
             self,
             "_bottoms",
@@ -156,6 +162,11 @@ class Signature:
 
     def join_op(self, sort: Sort) -> Operator | None:
         return self._joins.get(sort)
+
+    def op_of(self, kind: str, *params: object) -> Operator:
+        """The operator of ``kind`` with ``params`` (``KeyError`` if none):
+        ``op_of("update", loc, bit)`` without formatting its name."""
+        return self._by_kind[kind, params]
 
 
 VarContext = Mapping[str, Sort]

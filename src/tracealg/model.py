@@ -17,8 +17,18 @@ around it fuse into one: ``_fused`` builds ``TraceAlgebra.transition`` and
 held ``kleisli``.  ``update`` and ``lookup`` are the held rule over one
 location's bit, kept as mask loops since a generic ``_fused`` was slower per
 call.  Stores and steps are ints (see ``store``): operations test locations
-with masks, take every step they emit from the space's tables, and build
-results through ``TraceSet._built``, since each generator starts at its sort.
+with masks and take every step they emit from the space's tables.
+
+Checks run where values enter: the public constructors (``Trace``,
+``TraceSet``, ``sorted_set``, ``brookes_set``), ``unit``'s sort, and each
+operation's ``_expect`` on its arguments' sorts.  Past those, ``_prefixed``,
+``_fused``, ``update`` and ``acquire`` build each generator through the
+unchecked ``traces._trace``, since it takes its sorts from a checked
+generator or a sort constant and its steps from that generator and the
+space's tables, and every operation builds its result through
+``TraceSet._built``, since each generator starts at the set's sort.
+``reify_trace`` likewise builds its terms from the signature's operators
+without ``kernel.app``'s per-node checks (see ``open_transition_term``).
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from .kernel import (
     CEDE,
     HOLD,
     Algebra,
+    App,
     MissingBinding,
     Operator,
     Signature,
@@ -38,7 +49,6 @@ from .kernel import (
     SortMismatch,
     Term,
     Var,
-    app,
     join as join_term,
 )
 from .store import Store, StoreSpace, Transition
@@ -47,6 +57,7 @@ from .traces import (
     SORTED,
     Trace,
     TraceSet,
+    _trace,
     brookes_set,
     canonicalize,
     closure_bounded,
@@ -66,7 +77,7 @@ def _expect(K: TraceSet, sort: Sort) -> None:
 
 def _prefixed(start: Sort, runs: Sequence[tuple[Transition, ...]], K: TraceSet) -> list[Trace]:
     """The prefix rule: each generator of ``K`` behind each run of steps, from ``start``."""
-    return [Trace(start, run + steps, value_sort, value)
+    return [_trace(start, run + steps, value_sort, value)
             for _, steps, value_sort, value in K.generators for run in runs]
 
 
@@ -83,7 +94,7 @@ def _fused(start: Sort, prefix: tuple[Transition, ...], step: Transition, K: Tra
     for _, steps, value_sort, value in K.generators:
         first = steps[0]
         if pre_of[first] is mid:
-            gens.add(Trace(start, prefix + (from_pre[post_of[first]],) + steps[1:], value_sort, value))
+            gens.add(_trace(start, prefix + (from_pre[post_of[first]],) + steps[1:], value_sort, value))
     return gens
 
 
@@ -125,12 +136,12 @@ class TraceAlgebra(Algebra):
         table = space.steps
         gens = set()
         for g in K.generators:
-            steps = g.steps
+            _, steps, value_sort, value = g
             first = steps[0]
             if first & mask != want:
                 continue
             gens.add(g)
-            gens.add(Trace(HOLD, (table[first ^ mask],) + steps[1:], g.value_sort, g.value))
+            gens.add(_trace(HOLD, (table[first ^ mask],) + steps[1:], value_sort, value))
         return TraceSet._built(HOLD, gens)
 
     def lookup(self, loc: int, K0: TraceSet, K1: TraceSet) -> TraceSet:
@@ -146,7 +157,7 @@ class TraceAlgebra(Algebra):
 
     def acquire(self, K: TraceSet) -> TraceSet:
         _expect(K, HOLD)
-        gens = [Trace(CEDE, g.steps, g.value_sort, g.value) for g in K.generators]
+        gens = [_trace(CEDE, steps, value_sort, value) for _, steps, value_sort, value in K.generators]
         return canonicalize(TraceSet._built(CEDE, gens))
 
     def release(self, K: TraceSet) -> TraceSet:
@@ -193,19 +204,24 @@ def kleisli(env: Mapping[str, TraceSet], K: TraceSet) -> TraceSet:
 
 
 def reify_trace(space: StoreSpace, t: Trace) -> Term:
-    """The term denoting exactly the closure of the one-trace set."""
+    """The term denoting exactly the closure of the one-trace set.
+
+    Each step is an ``open_transition_term``.  The ``rel`` and ``acq``
+    wrappers around and between them are ``App`` nodes of the signature's
+    operators, unchecked: each wraps a term of the sort it takes, since a
+    trace's sorts are hold or cede and each spine is hold-sorted.
+    """
     sig = build("S", space).signature
-    core: Term = Var(t.value, t.value_sort)
-    acc: Term | None = None
-    for step in reversed(t.steps):
-        if acc is None:
-            body = app(sig, "rel", core) if t.value_sort is CEDE else core
-        else:
-            body = app(sig, "rel", app(sig, "acq", acc))
-        acc = open_transition_term(sig, space, step.pre, step.post, body)
-    assert acc is not None
+    acq, rel = sig.op_of("acquire"), sig.op_of("release")
+    acc: Term = Var(t.value, t.value_sort)
+    if t.value_sort is CEDE:
+        acc = App(rel.name, (acc,), rel.result)
+    for i, step in enumerate(reversed(t.steps)):
+        if i:
+            acc = App(rel.name, (App(acq.name, (acc,), acq.result),), rel.result)
+        acc = open_transition_term(sig, space, step.pre, step.post, acc)
     if t.start is CEDE:
-        acc = app(sig, "acq", acc)
+        acc = App(acq.name, (acc,), acq.result)
     return acc
 
 

@@ -191,20 +191,30 @@ def _two_sorted_signature(hold_ops: dict[str, Operator]) -> Signature:
 # Derived term builders
 
 
-def cell_assert_term(sig: Signature, space: StoreSpace, loc: int, bit: int, body: Term) -> Term:
-    """Look a location up and continue only on the given bit, else bottom."""
-    bot = bottom(sig, body.sort)
-    args = (body, bot) if bit == 0 else (bot, body)
-    return app(sig, lookup_name(space, loc), *args)
-
-
 def open_transition_term(sig: Signature, space: StoreSpace, pre: Store, post: Store, body: Term) -> Term:
-    """Assert the store is ``pre``, then update it to ``post``, location by location."""
+    """Assert the store is ``pre``, then update it to ``post``, location by location.
+
+    A location's assert is its lookup, which continues on the asserted bit
+    and is the bottom on the other.
+
+    The operators come from the signature's index (``op_of``) and every
+    node is built as an ``App``, without ``app``'s checks.  Only the body's
+    sort is checked, against the innermost update, with ``app``'s error:
+    each state operator keeps its sort (``_state_ops``), so every node
+    above the body, and the bottom beside it, has the body's sort.
+    """
+    pre_bits, post_bits = pre.bits, post.bits
+    locs = range(space.width)
     t = body
-    for loc in reversed(range(len(space.locations))):
-        t = app(sig, update_name(space, loc, post.get(loc)), t)
-    for loc in reversed(range(len(space.locations))):
-        t = cell_assert_term(sig, space, loc, pre.get(loc), t)
+    for loc in reversed(locs):
+        op = sig.op_of("update", loc, post_bits[loc])
+        if t is body and body.sort is not op.args[0]:
+            app(sig, op.name, body)  # raises its SortMismatch
+        t = App(op.name, (t,), op.result)
+    bot = bottom(sig, t.sort)
+    for loc in reversed(locs):
+        op = sig.op_of("lookup", loc)
+        t = App(op.name, (bot, t) if pre_bits[loc] else (t, bot), op.result)
     return t
 
 

@@ -5,8 +5,12 @@ start sort says whether the environment may run before the first transition,
 the value sort whether it may run after the last.  ``Trace`` is a plain
 immutable tuple ``(start, steps, value_sort, value)`` of sorts (``str``
 enums), transitions (interned ints, see ``store``) and a string, so the
-model operations, which build and hash many traces, do C-level work on each;
-only its constructor's checks run in Python.  Closed sets of traces are
+model operations, which build and hash many traces, do C-level work on each.
+The public constructors ``Trace``, ``TraceSet``, ``sorted_set`` and
+``brookes_set`` check what they are given.  The model operations and
+``step_deductions`` build every trace from a checked trace's sorts and
+steps, so they use the unchecked ``_trace`` and ``TraceSet._built``, and
+the checks run in Python only where traces enter.  Closed sets of traces are
 represented by finite generator sets; the closure itself is countably
 infinite and never materialised.  Membership in a closure is decided by a
 bit-parallel dynamic program: the generators that share start sort, value
@@ -105,6 +109,16 @@ class Trace(tuple):
         return (len(steps), self.start.order, steps, self.value_sort.order, self.value)
 
 
+def _trace(start: Sort, steps: tuple[Transition, ...], value_sort: Sort, value: str) -> Trace:
+    """``Trace(start, steps, value_sort, value)`` without its checks.
+
+    Only for callers that take both sorts from checked traces or the sort
+    constants and the steps from a trace's steps and the space's tables,
+    never empty: the model operations and ``step_deductions``.
+    """
+    return tuple.__new__(Trace, (start, steps, value_sort, value))
+
+
 @dataclass(frozen=True)
 class TraceSet:
     """A closed set of traces, given by finite generators.
@@ -197,13 +211,13 @@ def step_deductions(t: Trace, discipline: str, space: StoreSpace) -> frozenset[T
             continue
         head, tail = steps[:pos], steps[pos:]
         for stutter in space.stutters:
-            out.add(Trace(t.start, head + (stutter,) + tail, t.value_sort, t.value))
+            out.add(_trace(t.start, head + (stutter,) + tail, t.value_sort, t.value))
     pre_of, post_of, step_of = space.pre_of, space.post_of, space.step_of
     for i in range(n - 1):
         a, b = steps[i], steps[i + 1]
         if post_of[a] is pre_of[b]:
             fused = step_of[pre_of[a]][post_of[b]]
-            out.add(Trace(t.start, steps[:i] + (fused,) + steps[i + 2 :], t.value_sort, t.value))
+            out.add(_trace(t.start, steps[:i] + (fused,) + steps[i + 2 :], t.value_sort, t.value))
     return frozenset(out)
 
 
@@ -290,28 +304,40 @@ def _compile(gens: list[Trace]) -> _Class:
     ``_gen_contains`` crosses it.  Each store's masks are first written one
     byte per bit, highest bit first, and read as a binary numeral: setting
     bits in a growing int would copy it at every step, which is quadratic
-    in the class length, and this is linear.
+    in the class length, and this is linear.  Only the stores that some
+    step relies on or leaves get a row; the other stores' masks are 0.
     """
     tables = gens[0][1][0].tables
     pre_of, post_of = tables.pre_of, tables.post_of
     width = sum([len(g[1]) for g in gens]) + len(gens)
-    pre_rows = [bytearray(width) for _ in tables.stores]
-    post_rows = [bytearray(width) for _ in tables.stores]
+    pre_rows: dict[int, bytearray] = {}
+    post_rows: dict[int, bytearray] = {}
     offsets = []
     i = width  # bit b is byte width - 1 - b
     for g in gens:
         offsets.append(width - i)
         for step in g[1]:
             i -= 1
-            pre_rows[pre_of[step]][i] = 1
-            post_rows[post_of[step]][i] = 1
+            store = pre_of[step]
+            row = pre_rows.get(store)
+            if row is None:
+                row = pre_rows[store] = bytearray(width)
+            row[i] = 1
+            store = post_of[step]
+            row = post_rows.get(store)
+            if row is None:
+                row = post_rows[store] = bytearray(width)
+            row[i] = 1
         i -= 1  # the accepting bit
-    by_pre = [int(row.translate(_DIGITS), 2) for row in pre_rows]
-    by_post = [int(row.translate(_DIGITS), 2) for row in post_rows]
+    by_pre = [0] * len(tables.stores)
+    by_post = by_pre.copy()
+    for store, row in post_rows.items():
+        by_post[store] = int(row.translate(_DIGITS), 2)
     steps = chained = 0
-    for relies, leaves in zip(by_pre, by_post):
+    for store, row in pre_rows.items():
+        relies = by_pre[store] = int(row.translate(_DIGITS), 2)
         steps |= relies
-        chained |= relies & leaves << 1
+        chained |= relies & by_post[store] << 1
     accept = ((1 << width) - 1) ^ steps
     heads = (accept << 1 | 1) ^ (1 << width)
     return _Class(by_pre, by_post, chained, accept, heads, offsets)
@@ -375,8 +401,12 @@ def _check_comparable(a: TraceSet, b: TraceSet) -> None:
 
 
 def subset(a: TraceSet, b: TraceSet) -> bool:
+    """Is the closure of ``a`` inside that of ``b``?  A generator lies in
+    its own closure, so one of ``a``'s that is also ``b``'s needs no test,
+    and ``b``'s classes are compiled only for the others."""
     _check_comparable(a, b)
-    return all(member(g, b) for g in a.generators)
+    gens = b.generators
+    return all(g in gens or member(g, b) for g in a.generators)
 
 
 def equal(a: TraceSet, b: TraceSet) -> bool:
@@ -414,19 +444,22 @@ def _closure_key(t: Trace) -> tuple:
 def missing_witness(a: TraceSet, b: TraceSet) -> Trace | None:
     """The least generator of ``a`` (length first) outside the closure of ``b``.
 
-    Only ``b``'s generators with the same ``_closure_key`` can deduce a
-    generator of ``a``, so each is tested against that class alone; a
-    class's set is built, and compiled by ``member``, the first time a
-    generator of ``a`` needs it.
+    A generator lies in its own closure, so only those of ``a`` that are
+    not ``b``'s are tested, and ``b``'s generators are grouped only if
+    there are any.  Only ``b``'s generators with the same ``_closure_key``
+    can deduce a generator of ``a``, so each is tested against that class
+    alone; a class's set is built, and compiled by ``member``, the first
+    time a generator of ``a`` needs it.
     """
     _check_comparable(a, b)
+    outside = [g for g in a.generators if g not in b.generators]
+    if not outside:
+        return None
     classes: dict[tuple, list[Trace]] = {}
     for h in b.generators:
         classes.setdefault(_closure_key(h), []).append(h)
     class_sets: dict[tuple, TraceSet] = {}
-    for g in a.ordered():
-        if g in b.generators:  # a generator lies in its own closure
-            continue
+    for g in sorted(outside, key=Trace.key):
         key = _closure_key(g)
         K = class_sets.get(key)
         if K is None:

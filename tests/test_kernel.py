@@ -201,7 +201,7 @@ def test_join_op_table_matches_an_operator_scan():
 
 
 def test_bottom_is_one_shared_term_per_sort_and_folds_once(shared, space):
-    from tracealg.theories import cell_assert_term
+    from tracealg.theories import open_transition_term
 
     sig = shared.signature
     for sort in (HOLD, CEDE):
@@ -211,7 +211,8 @@ def test_bottom_is_one_shared_term_per_sort_and_folds_once(shared, space):
     with pytest.raises(SortMismatch):
         bottom(sig, STAR)
     x = Var("x", HOLD)
-    t = join(sig, HOLD, tuple(cell_assert_term(sig, space, loc, 1, x) for loc in (0, 1)))
+    # two spines whose outer asserts continue on bit 1
+    t = join(sig, HOLD, tuple(open_transition_term(sig, space, s, s, x) for s in space.stores[2:]))
     assert t.args[0].args[0] is t.args[1].args[0] is bottom(sig, HOLD)
 
     calls = []

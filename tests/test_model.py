@@ -12,6 +12,7 @@ from tracealg import (
     StoreSpace,
     Trace,
     TraceAlgebra,
+    TraceSet,
     Transition,
     Var,
     brookes_set,
@@ -30,6 +31,7 @@ from tracealg import (
     reify_trace,
     single_cell_witness,
     sorted_set,
+    step_deductions,
     strip_cede,
     subset,
     unit,
@@ -43,6 +45,7 @@ from tracealg.model import (
     variable_gtable,
 )
 from tracealg.theories import open_transition_term
+from app_reference import ref_reify_trace
 from tuple_reference import (
     RefStore,
     RefTrace,
@@ -723,3 +726,95 @@ def test_denotations_hold_only_steps_of_their_width(space):
                 assert all(id(s) in own for s in g.steps), g.render()
             if K.generators:
                 assert _space_for(K.generators).steps is space.steps
+
+
+# ---------------------------------------------------------------------------
+# Built without checks: every trace and term the model makes unchecked is
+# the one the checked constructors make
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
+def test_reify_trace_equals_the_checked_construction(space):
+    rng = random.Random(70 + len(space.locations))
+    for _ in range(200):
+        steps = tuple(
+            Transition(rng.choice(space.stores), rng.choice(space.stores))
+            for _ in range(rng.randint(1, 4))
+        )
+        t = Trace(rng.choice((HOLD, CEDE)), steps, rng.choice((HOLD, CEDE)), "v")
+        assert reify_trace(space, t) == ref_reify_trace(space, t)
+
+
+def random_inputs(space, rng):
+    """Random closed sets over ``space`` for ``unchecked_outputs``, built
+    through the checked constructors."""
+    rand = lambda sort: random_closed_set(space, sort, VALUES, CFG, rng)
+    ceded = rand(CEDE)
+    return {
+        "held": rand(HOLD),
+        "other": rand(HOLD),
+        "ceded": ceded,
+        "cede_only": brookes_set(g for g in ceded.generators if g.value_sort is CEDE),
+        "env": {"u": rand(HOLD), "v": rand(CEDE)},
+        "pre": rng.choice(space.stores),
+        "post": rng.choice(space.stores),
+    }
+
+
+def unchecked_outputs(space, held, other, ceded, cede_only, env, pre, post):
+    """Every set that the model operations which build traces unchecked
+    return on the given sets, then ``step_deductions`` of each generator."""
+    alg, brookes = TraceAlgebra(space), BrookesAlgebra(space)
+    out = [
+        alg.acquire(held),
+        alg.release(ceded),
+        alg.transition(pre, post, held),
+        kleisli(env, held),
+        kleisli(env, ceded),
+        brookes.transition(pre, post, cede_only),
+        yield1(cede_only, space),
+    ]
+    for loc in range(space.width):
+        out.append(alg.lookup(loc, held, other))
+        out.append(brookes.read(loc, cede_only, cede_only))
+        for bit in (0, 1):
+            out.append(alg.update(loc, bit, held))
+            out.append(brookes.write(loc, bit, cede_only))
+    gens = [g for K in out for g in K.generators]
+    for discipline in (SORTED, BROOKES):
+        out += [step_deductions(g, discipline, space) for g in gens]
+    return out
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
+def test_unchecked_traces_rebuild_equal_through_the_public_constructor(space):
+    rng = random.Random(80 + len(space.locations))
+    seen = 0
+    for _ in range(40):
+        for gens in unchecked_outputs(space, **random_inputs(space, rng)):
+            if isinstance(gens, TraceSet):
+                assert all(g.start is gens.sort for g in gens.generators)
+                gens = gens.generators
+            for g in gens:
+                assert type(g) is Trace and Trace(*g) == g
+                seen += 1
+    assert seen > 1000
+
+
+def test_model_operations_make_no_checked_trace(monkeypatch):
+    rng = random.Random(90)
+    inputs = [(space, random_inputs(space, rng)) for space in SPACES for _ in range(20)]
+    calls = []
+    checked = Trace.__new__
+
+    def counting(cls, *args):
+        calls.append(args)
+        return checked(cls, *args)
+
+    monkeypatch.setattr(Trace, "__new__", staticmethod(counting))
+    mk(HOLD, [("00", "01")], HOLD)
+    assert len(calls) == 1  # the counter sees the public constructor
+    calls.clear()
+    made = sum(len(K) for space, kw in inputs for K in unchecked_outputs(space, **kw)
+               if isinstance(K, frozenset))
+    assert made > 1000 and calls == []

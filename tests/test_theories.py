@@ -25,13 +25,13 @@ from tracealg.theories import (
     TranslationMismatch,
     UnknownTheory,
     apply_translation,
-    cell_assert_term,
     compose,
     distributivity_instances,
     encode_inequation,
     identity_translation,
     open_transition_term,
 )
+from app_reference import ref_open_transition_term
 
 
 def scheme_names(p):
@@ -229,14 +229,16 @@ def test_delimited_open_transition_expansion(space):
 
 
 def test_cell_assert_shape(space):
+    # each location's assert continues on its bit and is bottom on the other
     sig = build("S", space).signature
-    body = Var("x", HOLD)
-    assert cell_assert_term(sig, space, 1, 0, body) == app(
-        sig, "lkp:y", body, bottom(sig, HOLD)
-    )
-    assert cell_assert_term(sig, space, 1, 1, body) == app(
-        sig, "lkp:y", bottom(sig, HOLD), body
-    )
+    for pre in space.stores:
+        t = open_transition_term(sig, space, pre, pre, Var("x", HOLD))
+        for loc, name in enumerate(space.locations):
+            assert t.op == f"lkp:{name}"
+            bit = pre.get(loc)
+            assert t.args[1 - bit] is bottom(sig, HOLD)
+            t = t.args[bit]
+        assert t.op == f"upd:{space.locations[0]}:{pre.get(0)}"
 
 
 def test_compose_with_identity(space):
@@ -317,3 +319,45 @@ def test_axioms_and_translation_images_match_recorded_digest():
         h.update(line.encode() + b"\n")
         count += 1
     assert (count, h.hexdigest()) == (4913, THEORY_DIGEST)
+
+
+# ---------------------------------------------------------------------------
+# The transition spine, built from the operator index, against ``app``
+
+
+SPINE_SPACES = [StoreSpace(tuple(f"l{i}" for i in range(n))) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name", THEORY_NAMES)
+def test_op_of_finds_every_operator_but_the_joins(name):
+    for space in SPINE_SPACES:
+        sig = build(name, space).signature
+        for op in sig.operators.values():
+            if op.kind == "join":
+                with pytest.raises(KeyError):
+                    sig.op_of("join", *op.params)
+            else:
+                assert sig.op_of(op.kind, *op.params) is op
+
+
+@pytest.mark.parametrize("space", SPINE_SPACES, ids=lambda s: f"{s.width}loc")
+def test_open_transition_term_equals_the_checked_construction(space):
+    # S, and G, the target signature of E_G's images
+    for theory, sort, wrong in (("S", HOLD, CEDE), ("G", STAR, HOLD)):
+        sig = build(theory, space).signature
+        body, bad = Var("x0", sort), Var("x0", wrong)
+        for pre in space.stores:
+            for post in space.stores:
+                got = open_transition_term(sig, space, pre, post, body)
+                assert got == ref_open_transition_term(sig, space, pre, post, body)
+                assert got.sort is sort
+                with pytest.raises(SortMismatch) as new:
+                    open_transition_term(sig, space, pre, post, bad)
+                with pytest.raises(SortMismatch) as old:
+                    ref_open_transition_term(sig, space, pre, post, bad)
+                assert str(new.value) == str(old.value)
+    e_g, sig = builtin_translations(space)["E_G"], build("G", space).signature
+    for pre in space.stores:
+        for post in space.stores:
+            image = e_g.image(f"tr:{pre.render()}:{post.render()}", 1)
+            assert image == ref_open_transition_term(sig, space, pre, post, Var("x0", STAR))

@@ -1061,7 +1061,8 @@ def test_space_for_reads_the_width_of_the_steps(space):
 
 
 def test_public_constructors_still_reject_mis_sorted_generators():
-    # the model skips this check through ``TraceSet._built``; callers do not
+    # the model skips these checks through ``TraceSet._built`` and
+    # ``traces._trace``; callers do not
     held = mk(HOLD, [("00", "01")], CEDE)
     with pytest.raises(ValueError):
         TraceSet(CEDE, frozenset({held}))
@@ -1069,3 +1070,72 @@ def test_public_constructors_still_reject_mis_sorted_generators():
         sorted_set(CEDE, [held])
     with pytest.raises(ValueError):
         brookes_set([held])
+    with pytest.raises(ValueError):
+        Trace(HOLD, (), CEDE, "v")
+    for start, value_sort in (("hold", CEDE), (HOLD, "cede")):
+        with pytest.raises(ValueError):
+            Trace(start, held.steps, value_sort, "v")
+
+
+def compile_bit_by_bit(gens):
+    """``_compile``'s layout, one bit at a time into growing ints, with a
+    mask for every store of the width."""
+    stores = gens[0].steps[0].tables.stores
+    by_pre, by_post = [0] * len(stores), [0] * len(stores)
+    chained = accept = heads = 0
+    offsets = []
+    bit = 0
+    for g in gens:
+        offsets.append(bit)
+        heads |= 1 << bit
+        for i, step in enumerate(g.steps):
+            by_pre[step.pre] |= 1 << bit
+            by_post[step.post] |= 1 << bit
+            if i and g.steps[i - 1].post is step.pre:
+                chained |= 1 << bit
+            bit += 1
+        accept |= 1 << bit
+        bit += 1
+    return by_pre, by_post, chained, accept, heads, offsets
+
+
+def test_compile_equals_the_bit_by_bit_layout_on_random_classes():
+    rng = random.Random(19)
+    untouched = 0
+    for _ in range(2000):
+        space, gens = random_class(rng)
+        c = _compile(gens)
+        assert tuple(c) == compile_bit_by_bit(gens), gens
+        untouched += c.by_pre.count(0)
+    assert untouched > 1000
+
+
+def test_subset_equals_membership_of_every_generator_on_random_pairs():
+    rng = random.Random(20)
+    outcomes = set()
+    for _ in range(1000):
+        a, b = random_generator_pair(rng)
+        for x, y in ((a, b), (b, a), (a, a)):
+            want = all(member(g, y) for g in x.generators)
+            assert subset(x, y) == want
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_a_set_in_itself_compiles_and_reduces_nothing(monkeypatch):
+    # every generator lies in its own closure, so neither ``subset`` nor
+    # ``missing_witness`` tests one, or groups ``b``'s generators
+    calls = []
+
+    def counted(name):
+        inner = getattr(tracealg.traces, name)
+        monkeypatch.setattr(tracealg.traces, name, lambda *a: calls.append(name) or inner(*a))
+
+    rng = random.Random(21)
+    sets = [random_generator_pair(rng)[0] for _ in range(200)]
+    assert sum(len(K.generators) for K in sets) > 1000
+    counted("_compile")
+    counted("_normal_form")
+    for K in sets:
+        assert subset(K, K) and missing_witness(K, K) is None
+    assert calls == []
