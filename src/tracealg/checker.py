@@ -2,14 +2,15 @@
 
 Equality and refinement in each theory are decided by evaluating both terms
 in the theory's free model with the returning environment and comparing the
-results; refinement is inclusion.  The two terms are evaluated together, so
-a subterm they share, or one holds twice, is evaluated once per decision
-(``_denote_all``).  ``FREE_MODELS`` says which free model reads each theory
-and, for Tgs alone, through which translation: S and Tr are each read in
-their own signature.  ``denote`` covers S, Tr, B, G and
-Tgs; J and V have no trace model.  Axiom validation samples random model
-elements for the variables: the mathematics guarantees the axioms, so these
-suites guard the implementation of the models.
+results; refinement is inclusion.  The two terms are evaluated with one
+memo, which value-numbers them, so a subterm they share, or one holds twice,
+is evaluated once per decision (``_denote_all``, which ``denote`` calls with
+one term).  ``FREE_MODELS`` says which free model reads each theory and, for
+Tgs alone, through which translation: S and Tr are each read in their own
+signature.  ``denote`` covers S, Tr, B, G and Tgs; J and V have no trace
+model.  Axiom validation samples random model elements for the variables:
+the mathematics guarantees the axioms, so these suites guard the
+implementation of the models.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .kernel import (
     Var,
     bottom,
     evaluate,
-    share,
 )
 from .model import (
     BrookesAlgebra,
@@ -203,10 +203,7 @@ def _reader(theory: str, ctx: Mapping[str, Sort], space: StoreSpace) -> tuple:
 
 def denote(theory: str, ctx: Mapping[str, Sort], t: Term, space: StoreSpace = StoreSpace()) -> TraceSet:
     """Evaluate in the theory's free model with the returning environment."""
-    tr, alg, env, finish = _reader(theory, ctx, space)
-    if tr is not None:
-        t = apply_translation(tr, t)
-    return finish(t, evaluate(alg, env, t))
+    return _denote_all(theory, ctx, (t,), space)[0]
 
 
 def _denote_all(
@@ -214,18 +211,17 @@ def _denote_all(
 ) -> list[TraceSet]:
     """``denote`` of each of ``terms``, evaluating every distinct subterm once.
 
-    The terms are hash-consed together (``kernel.share``) and evaluated in
-    one algebra and one environment with one memo, so a subterm that both
-    sides of a decision hold, or one side holds twice, is evaluated once.
-    Evaluation is a function of the term, so the sets are those ``denote``
-    returns.  The table and the memo live for this call only: a query asked
-    twice is evaluated twice.
+    Two or more terms are evaluated in one algebra and one environment with
+    one memo, so ``evaluate`` value-numbers them: a subterm that both sides
+    of a decision hold, or one side holds twice, is evaluated once.  A lone
+    term is evaluated without a memo.  The memo lives for this call only: a
+    query asked twice is evaluated twice.
     """
     tr, alg, env, finish = _reader(theory, ctx, space)
     if tr is not None:
         terms = [apply_translation(tr, t) for t in terms]
-    memo: dict[int, object] = {}
-    return [finish(t, evaluate(alg, env, t, memo)) for t in share(terms)]
+    memo = {} if len(terms) > 1 else None
+    return [finish(t, evaluate(alg, env, t, memo)) for t in terms]
 
 
 # The benchmark harness wraps and calls the trace denotation by this name.

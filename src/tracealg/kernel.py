@@ -1,15 +1,16 @@
 """Multi-sorted signatures, sorted terms, substitution, and evaluation.
 
-Terms are immutable and carry their sort, so deciders can hash and compare
-subterms structurally.  Joins are represented by a single variadic operator
-per join-carrying sort; the empty join plays the role of bottom.
+Terms are immutable and carry their sort.  Every walk over a term is one
+``fold``, on an explicit stack and memoized per node identity; ``evaluate``
+with a memo also value-numbers, so the terms that share the memo evaluate
+each distinct application once.  Joins are represented by a single variadic
+operator per join-carrying sort; the empty join plays the role of bottom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import is_
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar, Union
 
 
@@ -409,13 +410,18 @@ def fold(
     return memo[id(t)]
 
 
-def evaluate(
-    alg: Algebra, env: Mapping[str, object], t: Term, memo: dict[int, object] | None = None
-) -> object:
+def evaluate(alg: Algebra, env: Mapping[str, object], t: Term, memo: dict | None = None) -> object:
     """Structural fold: variables via env, applications via alg's operations.
 
-    ``memo`` is ``fold``'s: evaluations in one algebra and environment may
-    share it, and each node they have in common is then evaluated once.
+    Given a ``memo``, evaluation also value-numbers: an application is keyed
+    by its operator and the identities of its arguments' values, and a node
+    whose key was already met takes that key's value, within ``t`` and
+    across every term evaluated with the same memo in the same algebra and
+    environment.  Every operation is a function of its operator and
+    arguments, so the values are those evaluation without a memo gives.
+    The memo holds ``fold``'s keys, node identities (ints), beside these
+    keys (tuples), so the two kinds never collide; it keeps every value it
+    numbers alive, so no identity in a key is reused.
     """
     ops = alg.signature.operators
 
@@ -424,43 +430,16 @@ def evaluate(
             raise MissingBinding(f"no environment value for variable {v.name!r}")
         return env[v.name]
 
-    return fold(t, var, lambda node, args: alg.apply(ops[node.op], args), memo)
+    if memo is None:
+        return fold(t, var, lambda node, args: alg.apply(ops[node.op], args))
 
+    def numbered(node: App, args: tuple) -> object:
+        key = (node.op, *map(id, args))
+        if key not in memo:
+            memo[key] = alg.apply(ops[node.op], args)
+        return memo[key]
 
-def share(terms: Sequence[Term]) -> list[Term]:
-    """``terms`` with every two equal subterms made one node (hash-consing).
-
-    Equal means the same operator, sort and, recursively, arguments, or the
-    same variable.  A node is keyed by its operator, sort and the identities
-    of its already shared arguments, a variable by its name and sort; the
-    two kinds of key differ in length, so a variable never meets a nullary
-    operator of its name.  Left to right, the first node met with a key is
-    kept as it is when its arguments were already shared, and rebuilt
-    otherwise.  The table lives for one call: a later call shares nothing
-    with this one.
-    """
-    table: dict[tuple, Term] = {}  # key -> the one node with that key
-    shared: dict[int, Term] = {}  # id of a node of ``terms`` -> its shared node
-    stack: list = list(reversed(terms))  # nodes to share, and (node,) once its arguments are
-    while stack:
-        n = stack.pop()
-        if type(n) is tuple:
-            n = n[0]
-            args = [shared[id(a)] for a in n.args]
-            key = (n.op, n.sort, tuple(map(id, args)))
-            one = table.get(key)
-            if one is None:
-                one = table[key] = (
-                    n if all(map(is_, args, n.args)) else App(n.op, tuple(args), n.sort)
-                )
-            shared[id(n)] = one
-        elif id(n) not in shared:
-            if isinstance(n, Var):
-                shared[id(n)] = table.setdefault((n.name, n.sort), n)
-            else:
-                stack.append((n,))
-                stack += reversed(n.args)
-    return [shared[id(t)] for t in terms]
+    return fold(t, var, numbered, memo)
 
 
 class TermAlgebra(Algebra):

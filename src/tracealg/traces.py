@@ -40,7 +40,6 @@ sort, value and normal form (``_closure_key``).  ``canonicalize`` and
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -221,19 +220,6 @@ def step_deductions(t: Trace, discipline: str, space: StoreSpace) -> frozenset[T
     return frozenset(out)
 
 
-def _oracle_cap() -> int:
-    text = os.environ.get("BROOKES_ORACLE_CAP")
-    if text is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ValueError(f"BROOKES_ORACLE_CAP must be a non-negative integer, got {text!r}")
-    return cap
-
-
 def closure_bounded(
     gens: Iterable[Trace],
     discipline: str,
@@ -241,7 +227,7 @@ def closure_bounded(
     max_len: int,
     *,
     slack: int = 2,
-    cap: int | None = None,
+    cap: int = DEFAULT_ORACLE_CAP,
 ) -> frozenset[Trace]:
     """Brute-force closure, truncated to traces of at most ``max_len`` steps.
 
@@ -251,8 +237,6 @@ def closure_bounded(
     """
     _check_discipline(discipline)
     gens = list(gens)
-    if cap is None:
-        cap = _oracle_cap()
     for g in gens:
         if len(g.steps) > max_len:
             raise ValueError("max_len must cover the longest generator")

@@ -180,7 +180,8 @@ def decision_reference(theory, ctx, t1, t2, space):
 def decision_pairs():
     """The benchmark's ``chain`` decisions on every variant at its sizes
     (dead-write elimination, write introduction and the irrelevant read of
-    each location), then random S and Tr pairs, some sharing a subterm."""
+    each location), then random pairs in every theory that decides, some
+    sharing a subterm."""
     decisions = ("dead_write", "write_intro", "irrelevant_read")
     for n, k in sorted({size for kind in decisions for size in workloads.chain_sizes(kind)}):
         space = workloads.space_for(n)
@@ -194,14 +195,15 @@ def decision_pairs():
             for probe in range(n):
                 probed = workloads.ChainShape(k, n, shape.flip, shape.perm, probe)
                 yield "S", ctx, check_sort(sig, ctx, probed.irrelevant_read_raw()), chain, space
-    ctx = {"a": HOLD, "b": CEDE}
-    for theory in ("S", "Tr"):
+    for theory in ("S", "Tr", "B", "G", "Tgs"):
+        sorts = (HOLD, CEDE) if theory in ("S", "Tr") else (STAR,)
+        ctx = dict(zip("ab", sorts * 2))
         for n in (1, 2, 3):
             space = StoreSpace(("x", "y", "z")[:n])
             p = build(theory, space)
             rng = random.Random(f"shared-decisions-{theory}-{n}")
             for i in range(84):
-                sort = (HOLD, CEDE)[i % 2]
+                sort = sorts[i % len(sorts)]
                 t1, t2 = (random_term(p, ctx, sort, 2 + i % 4, rng) for _ in range(2))
                 if i % 3 == 0:  # the right side holds the left one
                     t2 = app(p.signature, p.signature.join_op(sort).name, t2, t1)
@@ -215,7 +217,7 @@ def test_shared_decisions_match_separate_denotations():
         assert check_equal(theory, ctx, t1, t2, space) == eq
         assert check_refines(theory, ctx, t1, t2, space) == refines
         count += 1
-    assert count > 600
+    assert count > 1400
 
 
 def test_a_decision_evaluates_each_distinct_subterm_once(monkeypatch):

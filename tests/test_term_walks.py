@@ -6,6 +6,8 @@ On terms shallow enough for recursion they must agree with the recursive
 versions in ``recursive_reference``: equal results, the same operations in
 the same order, and errors of the same type, message and path.  On a term
 far deeper than the recursion limit every walk must still finish.
+Evaluation with a memo value-numbers: it must merge equal applications,
+deep ones too, and no others.
 """
 
 import random
@@ -14,7 +16,7 @@ import sys
 import pytest
 import recursive_reference as ref
 
-from tracealg import App, TermError, Var, build, builtin_translations, check_equal
+from tracealg import App, TermError, TraceAlgebra, Var, build, builtin_translations, check_equal
 from tracealg.checker import random_term
 from tracealg.cli import parse_term, term_to_sexpr
 from tracealg.kernel import (
@@ -26,7 +28,6 @@ from tracealg.kernel import (
     evaluate,
     fold,
     free_vars,
-    share,
     substitute,
 )
 from tracealg.theories import THEORY_NAMES, apply_translation
@@ -224,7 +225,7 @@ def test_walks_take_terms_deeper_than_the_recursion_limit():
     assert height(check_sort(sig, ctx, chain)) == depth
 
 
-def test_share_makes_equal_deep_terms_one_node():
+def test_a_decision_of_equal_deep_terms_evaluates_each_application_once(monkeypatch):
     depth = 20_000
     sig = build("S").signature
     ctx = {"x": CEDE}
@@ -233,11 +234,32 @@ def test_share_makes_equal_deep_terms_one_node():
         raw = ("acq", ("rel", raw))
     t1, t2 = check_sort(sig, ctx, raw), check_sort(sig, ctx, raw)
     assert t1 is not t2
-    a, b = share([t1, t2])
-    assert a is t1 and b is t1 and height(a) == depth
+    calls = []
+    acquire = TraceAlgebra.acquire
+    monkeypatch.setattr(TraceAlgebra, "acquire", lambda alg, K: calls.append(K) or acquire(alg, K))
     assert check_equal("S", ctx, t1, t2).holds
-    # a variable never meets a nullary operator of its name and sort
-    bot = bottom(sig, CEDE)
-    named = Var(bot.op, bot.sort)
-    shared = share([named, bot, Var(bot.op, bot.sort)])
-    assert shared[0] is named and shared[1] is bot and shared[2] is named
+    assert len(calls) == depth // 2
+
+
+@pytest.mark.parametrize("theory", THEORY_NAMES)
+def test_value_numbering_merges_no_two_different_applications(theory):
+    # in the term algebra two applications are merged only if they build
+    # equal terms, so one memo over a list of terms must change no result
+    p = build(theory)
+    sig, ctx = p.signature, context(p)
+    alg = TermAlgebra(sig)
+    rng = random.Random(f"numbering-{theory}")
+    sorts = sorted(sig.sorts, key=str)
+    for i in range(50):
+        theta = {n: random_term(p, ctx, s, 2, rng) for n, s in ctx.items()}
+        terms = [random_term(p, ctx, sorts[j % len(sorts)], 1 + (i + j) % 4, rng) for j in range(5)]
+        terms += [substitute(t, theta) for t in terms[:2]]
+        memo = {}
+        numbered = [evaluate(alg, theta, t, memo) for t in terms]
+        assert numbered == [evaluate(alg, theta, t) for t in terms]
+    # a variable never meets a nullary operator of its name
+    sort = sorts[0]
+    bot = bottom(sig, sort)
+    image = random_term(p, ctx, sort, 2, rng)
+    memo = {}
+    assert [evaluate(alg, {bot.op: image}, t, memo) for t in (Var(bot.op, sort), bot)] == [image, bot]

@@ -208,21 +208,6 @@ def test_closure_budget_cap():
         closure_bounded([g], SORTED, SP, 4, cap=10)
 
 
-def test_closure_budget_cap_from_environment(monkeypatch):
-    monkeypatch.setenv("BROOKES_ORACLE_CAP", "10")
-    g = mk(CEDE, [("11", "00")], CEDE)
-    with pytest.raises(BudgetExceeded):
-        closure_bounded([g], SORTED, SP, 4)
-
-
-@pytest.mark.parametrize("text", ["abc", "-1"])
-def test_closure_budget_cap_from_environment_is_validated(monkeypatch, text):
-    monkeypatch.setenv("BROOKES_ORACLE_CAP", text)
-    g = mk(CEDE, [("11", "00")], CEDE)
-    with pytest.raises(ValueError, match="BROOKES_ORACLE_CAP"):
-        closure_bounded([g], SORTED, SP, 4)
-
-
 def test_closure_requires_covering_generators():
     g = mk(CEDE, [("11", "00"), ("00", "00")], CEDE)
     with pytest.raises(ValueError):
