@@ -6,27 +6,33 @@ interprets the transition signature on their cede fragment (generators that
 cede at both ends) and shares join, unit and extension with it;
 ``GTableAlgebra`` interprets nondeterministic global state as store functions.
 Each model names its operations after the operator kinds, and
-``Algebra.apply`` dispatches to them.  All operations work on generators and
-are exact for the denoted closures, a fact the oracle tests pin down.
+``Algebra.apply`` dispatches to them.  All operations work on generators, or
+on their first steps, and are exact for the denoted closures, a fact the
+oracle tests pin down.
 
 Two boundary rules put steps in front of generators.  A ceding boundary lets
 the environment run, so the steps on either side concatenate: ``_prefixed``
-builds Brookes transitions, reads and writes, ``yield1``, ``release`` and
-ceding ``kleisli``.  A held boundary holds the global lock, so the steps
-around it fuse into one: ``_fused`` builds ``TraceAlgebra.transition`` and
-held ``kleisli``.  ``update`` and ``lookup`` are the held rule over one
-location's bit, kept as mask loops since a generic ``_fused`` was slower per
-call.  Stores and steps are ints (see ``store``): operations test locations
-with masks and take every step they emit from the space's tables.
+builds Brookes transitions, reads and writes, ``yield1`` and ceding
+``kleisli``.  A held boundary holds the global lock, so the steps around it
+fuse into one: ``_fused`` builds held ``kleisli``.  Stores and steps are
+ints (see ``store``): operations test locations with masks and take every
+step they emit from the space's tables.
+
+The held operations act only on a generator's first step, so they work on a
+hold-sorted set's first-step index (see ``traces.TraceSet``).  ``update``,
+``lookup`` and ``transition`` are the fusion rule over one location's bit or
+one step: they filter and re-key first steps, share their tail sets, and
+build no trace.  ``release`` indexes its set, with every generator's steps
+under each stutter, and ``acquire`` builds its cede traces from the index.
 
 Checks run where values enter: the public constructors (``Trace``,
 ``TraceSet``, ``sorted_set``, ``brookes_set``), ``unit``'s sort, and each
 operation's ``_expect`` on its arguments' sorts.  Past those, ``_prefixed``,
-``_fused``, ``update`` and ``acquire`` build each generator through the
-unchecked ``traces._trace``, since it takes its sorts from a checked
-generator or a sort constant and its steps from that generator and the
-space's tables, and every operation builds its result through
-``TraceSet._built``, since each generator starts at the set's sort.
+``_fused`` and ``acquire`` build each generator through the unchecked
+``traces._trace``, since it takes its sorts from a checked generator or a
+sort constant and its steps from that generator, the index and the space's
+tables, and every operation builds its result through ``TraceSet._built``
+or ``TraceSet._held``, since each generator starts at the set's sort.
 ``reify_trace`` likewise builds its terms from the signature's operators
 without ``kernel.app``'s per-node checks (see ``open_transition_term``).
 """
@@ -114,7 +120,6 @@ class TraceAlgebra(Algebra):
     def __init__(self, space: StoreSpace, signature: Signature | None = None):
         self.space = space
         self.signature = signature or build("S", space).signature
-        self._release_runs = [()] + [(st,) for st in space.stutters]
 
     def join(self, sort: Sort, args: Sequence[TraceSet]) -> TraceSet:
         gens: set[Trace] = set()
@@ -126,50 +131,65 @@ class TraceAlgebra(Algebra):
 
     def update(self, loc: int, bit: int, K: TraceSet) -> TraceSet:
         """The held rule over one bit, the union over stores ``s`` of
-        ``_fused(HOLD, (), step(s, s with loc := bit), K)``: a generator
-        whose first step relies on ``loc = bit`` is kept, and once more with
-        that bit of its first source flipped; the others drop."""
+        ``_fused(HOLD, (), step(s, s with loc := bit), K)``: a first step
+        that relies on ``loc = bit`` keeps its tails, which its copy with
+        that bit of its source flipped shares; the other first steps drop."""
         _expect(K, HOLD)
         space = self.space
-        mask = space.pre_mask(loc)
+        mask = space.pre_masks[loc]
         want = mask if bit else 0
         table = space.steps
-        gens = set()
-        for g in K.generators:
-            _, steps, value_sort, value = g
-            first = steps[0]
-            if first & mask != want:
-                continue
-            gens.add(g)
-            gens.add(_trace(HOLD, (table[first ^ mask],) + steps[1:], value_sort, value))
-        return TraceSet._built(HOLD, gens)
+        firsts = {}
+        for first, tails in K._firsts.items():
+            if first & mask == want:
+                firsts[first] = firsts[table[first ^ mask]] = tails
+        return TraceSet._held(firsts)
 
     def lookup(self, loc: int, K0: TraceSet, K1: TraceSet) -> TraceSet:
         """Branch on the bit at ``loc``, the held rule over one bit with
-        stutters: the generators of ``K0`` relying on ``loc = 0`` and those
-        of ``K1`` relying on ``loc = 1``, in one pass over each branch."""
+        stutters: the first steps of ``K0`` relying on ``loc = 0`` and those
+        of ``K1`` relying on ``loc = 1``, with their tails."""
         _expect(K0, HOLD)
         _expect(K1, HOLD)
-        mask = self.space.pre_mask(loc)
-        gens = {g for g in K0.generators if not g.steps[0] & mask}
-        gens.update(g for g in K1.generators if g.steps[0] & mask)
-        return TraceSet._built(HOLD, gens)
+        mask = self.space.pre_masks[loc]
+        firsts = {}
+        for first, tails in K0._firsts.items():
+            if not first & mask:
+                firsts[first] = tails
+        for first, tails in K1._firsts.items():
+            if first & mask:
+                firsts[first] = tails
+        return TraceSet._held(firsts)
 
     def acquire(self, K: TraceSet) -> TraceSet:
         _expect(K, HOLD)
-        gens = [_trace(CEDE, steps, value_sort, value) for _, steps, value_sort, value in K.generators]
-        return canonicalize(TraceSet._built(CEDE, gens))
+        return canonicalize(TraceSet._built(CEDE, K._restarted(CEDE)))
 
     def release(self, K: TraceSet) -> TraceSet:
+        """Each generator bare, indexed by its first step, and whole behind
+        every stutter: each stutter's tails are all of ``K``'s steps, plus
+        those of the bare generators that start with that stutter."""
         _expect(K, CEDE)
-        return TraceSet._built(HOLD, set(_prefixed(HOLD, self._release_runs, K)))
+        gens = K.generators
+        if not gens:
+            return TraceSet._held({})
+        whole = frozenset([g[1:] for g in gens])
+        firsts = K._firsts  # grouped afresh: a cede-sorted set is built from generators
+        for stutter in self.space.stutters:
+            own = firsts.get(stutter)
+            firsts[stutter] = whole | own if own else whole
+        return TraceSet._held(firsts)
 
     def transition(self, pre: Store, post: Store, K: TraceSet) -> TraceSet:
         """Assert the store is ``pre`` and move it to ``post``: Tr's operator,
-        which agrees with S's assert/update blocks under ``E_TrS``.  The step
-        fuses into each first step that relies on ``post``."""
+        which agrees with S's assert/update blocks under ``E_TrS``.  The
+        fusion rule on the index: each first step that relies on ``post``
+        becomes the step from ``pre`` to its post store."""
         _expect(K, HOLD)
-        return TraceSet._built(HOLD, _fused(HOLD, (), self.space.step_of[pre][post], K))
+        space = self.space
+        pre_of, post_of, from_pre = space.pre_of, space.post_of, space.step_of[pre]
+        return TraceSet._held({from_pre[post_of[first]]: tails
+                               for first, tails in K._firsts.items() if pre_of[first] is post})
 
     def unit(self, sort: Sort, value: str) -> TraceSet:
         return unit(self.space, sort, value)

@@ -11,9 +11,9 @@ Both are ``int`` subclasses, one interned object per width and value, so
 hashing and comparing them is C-level int work.  Callers test a store's
 bits with ``StoreSpace.mask`` and a step's pre-store bits with ``pre_mask``,
 and read and build steps through the per-width tables of ``Packing``
-(``pre_of``, ``post_of``, ``step_of``, ``stutters``) instead of constructing
-objects; ``bits``, ``pre``, ``post`` and the rendered strings are lookups in
-the same tables.
+(``pre_of``, ``post_of``, ``step_of``, ``stutters``, ``pre_masks``) instead
+of constructing objects; ``bits``, ``pre``, ``post`` and the rendered
+strings are lookups in the same tables.
 
 Stores and steps of different widths are different objects but may be
 equal ints (the 1-location step ``(0,1)`` is ``1``, as is the store
@@ -117,7 +117,9 @@ class Transition(int):
 class Packing(NamedTuple):
     """The interned stores and steps of one width, and the tables that read
     and build steps: ``pre_of[step]`` and ``post_of[step]`` are its stores,
-    ``step_of[pre][post]`` the step, ``stutters[s]`` the step ``(s, s)``."""
+    ``step_of[pre][post]`` the step, ``stutters[s]`` the step ``(s, s)``,
+    and ``pre_masks[loc]`` the bit of location ``loc`` of a step's pre
+    store, in the step."""
 
     stores: tuple[Store, ...]
     steps: tuple[Transition, ...]
@@ -125,6 +127,7 @@ class Packing(NamedTuple):
     pre_of: tuple[Store, ...]
     post_of: tuple[Store, ...]
     step_of: tuple[tuple[Transition, ...], ...]
+    pre_masks: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -154,6 +157,7 @@ def packing(width: int) -> Packing:
         tuple(p for p in stores for _ in stores),
         stores * count,
         step_of,
+        tuple(1 << (2 * width - 1 - loc) for loc in range(width)),
     )
     step_cls.tables = tables
     return tables
@@ -166,8 +170,8 @@ class StoreSpace:
     The ``Packing`` tables of its width are its fields, shared by every
     space of that width: ``stores[i]`` is the store ``i``, ``steps[i]`` the
     transition ``i``, ``step_of[pre][post]`` the transition ``(pre, post)``,
-    ``pre_of``/``post_of`` a step's stores, and ``stutters[i]`` the stutter
-    at ``stores[i]``.
+    ``pre_of``/``post_of`` a step's stores, ``stutters[i]`` the stutter
+    at ``stores[i]``, and ``pre_masks`` the values of ``pre_mask``.
     """
 
     locations: tuple[str, ...] = ("x", "y")
@@ -177,6 +181,7 @@ class StoreSpace:
     pre_of: tuple[Store, ...] = field(init=False, repr=False, compare=False)
     post_of: tuple[Store, ...] = field(init=False, repr=False, compare=False)
     step_of: tuple[tuple[Transition, ...], ...] = field(init=False, repr=False, compare=False)
+    pre_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.locations:
@@ -197,7 +202,7 @@ class StoreSpace:
     def pre_mask(self, loc: int) -> int:
         """The bit of location ``loc`` of a step's pre store, in the step:
         ``steps[step ^ pre_mask(loc)]`` is ``step`` with that bit flipped."""
-        return self.mask(loc) << len(self.locations)
+        return self.pre_masks[loc]
 
     def parse_store(self, text: str) -> Store:
         if len(text) != len(self.locations) or any(c not in "01" for c in text):

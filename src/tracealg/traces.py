@@ -9,10 +9,16 @@ model operations, which build and hash many traces, do C-level work on each.
 The public constructors ``Trace``, ``TraceSet``, ``sorted_set`` and
 ``brookes_set`` check what they are given.  The model operations and
 ``step_deductions`` build every trace from a checked trace's sorts and
-steps, so they use the unchecked ``_trace`` and ``TraceSet._built``, and
-the checks run in Python only where traces enter.  Closed sets of traces are
-represented by finite generator sets; the closure itself is countably
-infinite and never materialised.  Membership in a closure is decided by a
+steps, so they use the unchecked ``_trace``, ``TraceSet._built`` and
+``TraceSet._held``, and the checks run in Python only where traces enter.
+Closed sets of traces are represented by finite generator sets; the closure
+itself is countably infinite and never materialised.  A hold-sorted set has
+a second view, its first-step index: each first step ``a`` with the set of
+tails that follow it, so the set is the union over ``a`` of ``a`` before the
+tails of ``a``, the first layer of Brzozowski's derivatives.  The held model
+operations act only on first steps, so they build and read this view, and a
+set derives the view it was not built from on first use (``TraceSet``).
+Membership in a closure is decided by a
 bit-parallel dynamic program: the generators that share start sort, value
 sort and value are compiled once, side by side, into one bitmask per store
 and kind (``_compile``), and one pass over a candidate's steps advances all
@@ -41,9 +47,7 @@ sort, value and normal form (``_closure_key``).  ``canonicalize`` and
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple
 
 from .kernel import CEDE, HOLD, Sort, SortMismatch
@@ -118,48 +122,119 @@ def _trace(start: Sort, steps: tuple[Transition, ...], value_sort: Sort, value: 
     return tuple.__new__(Trace, (start, steps, value_sort, value))
 
 
-@dataclass(frozen=True)
 class TraceSet:
     """A closed set of traces, given by finite generators.
 
     The set denoted is the deductive closure of the generators; operations
     treat the closure semantically and never expand it.  All generators
     share the start sort recorded in ``sort``.
+
+    A hold-sorted set has a second view, its first-step index ``_firsts``:
+    a dict from each generator's first step to the frozenset of its tails
+    ``(rest_steps, value_sort, value)``, none of them empty.  The held
+    operations only filter and rewrite first steps, so they work on the
+    index and share its tail sets.  A set is built from one view, its
+    generators (the public constructor, ``_built``) or its index
+    (``_held``), and derives the other on first use.  Generators, once
+    built, are kept; the index is kept only on sets built from one, since
+    keeping it on every set costs memory and saves no time.
+    Equality, hash, repr, pickling and ``ordered`` read the generators.
+    ``sort`` and ``generators`` are read-only; the slots behind them are set
+    once, by the constructors or by the first use of a derived view.
     """
 
-    sort: Sort
-    generators: frozenset[Trace]
+    __slots__ = ("_sort", "_gens", "_index", "_compiled")
 
-    def __post_init__(self) -> None:
-        for g in self.generators:
-            if g.start is not self.sort:
+    sort = property(attrgetter("_sort"), doc="The start sort of every generator.")
+
+    def __init__(self, sort: Sort, generators: Iterable[Trace]) -> None:
+        gens = frozenset(generators)
+        for g in gens:
+            if g.start is not sort:
                 raise ValueError(
-                    f"generator starts at {g.start.value}, set is {self.sort.value}-sorted"
+                    f"generator starts at {g.start.value}, set is {sort.value}-sorted"
                 )
+        self._sort, self._gens, self._index, self._compiled = sort, gens, None, None
 
     @classmethod
     def _built(cls, sort: Sort, gens: Iterable[Trace]) -> "TraceSet":
         """A set whose generators the caller built to start at ``sort``:
-        the per-generator check of ``__post_init__`` is skipped."""
+        the per-generator check of ``__init__`` is skipped."""
         K = object.__new__(cls)
-        object.__setattr__(K, "sort", sort)
-        object.__setattr__(K, "generators", frozenset(gens))
+        K._sort, K._gens, K._index, K._compiled = sort, frozenset(gens), None, None
         return K
 
-    def is_empty(self) -> bool:
-        return not self.generators
+    @classmethod
+    def _held(cls, firsts: dict[Transition, frozenset[tuple]]) -> "TraceSet":
+        """The hold-sorted set of first-step index ``firsts``, which the
+        caller built with no empty tail set."""
+        K = object.__new__(cls)
+        K._sort, K._gens, K._index, K._compiled = HOLD, None, firsts, None
+        return K
 
-    @cached_property
+    @property
+    def generators(self) -> frozenset[Trace]:
+        gens = self._gens
+        if gens is None:
+            gens = self._gens = frozenset(self._restarted(HOLD))
+        return gens
+
+    @property
+    def _firsts(self) -> dict[Transition, frozenset[tuple]]:
+        """The first-step index: kept if the set was built from it, else
+        grouped from the generators on each call, a fresh dict that the
+        caller may change."""
+        index = self._index
+        if index is None:
+            index = {}
+            for _, steps, value_sort, value in self._gens:
+                index.setdefault(steps[0], []).append((steps[1:], value_sort, value))
+            for first, tails in index.items():
+                index[first] = frozenset(tails)
+        return index
+
+    def _restarted(self, start: Sort) -> list[Trace]:
+        """The generators with their start sort replaced by ``start``, built
+        from the generators if they are, else from the index."""
+        if self._gens is not None:
+            return [_trace(start, steps, value_sort, value)
+                    for _, steps, value_sort, value in self._gens]
+        return [_trace(start, (first,) + rest, value_sort, value)
+                for first, tails in self._index.items() for rest, value_sort, value in tails]
+
+    def is_empty(self) -> bool:
+        gens = self._gens
+        return not (self._index if gens is None else gens)
+
+    @property
     def _classes(self) -> dict[tuple, _Class]:
         """The generators by value sort and value, each group compiled once
         as one class for ``member``; the set is immutable, so this stays."""
-        groups: dict[tuple, list[Trace]] = {}
-        for g in self.generators:
-            groups.setdefault((g[2], g[3]), []).append(g)
-        return {key: _compile(group) for key, group in groups.items()}
+        classes = self._compiled
+        if classes is None:
+            groups: dict[tuple, list[Trace]] = {}
+            for g in self.generators:
+                groups.setdefault((g[2], g[3]), []).append(g)
+            classes = self._compiled = {key: _compile(group) for key, group in groups.items()}
+        return classes
 
     def ordered(self) -> list[Trace]:
         return sorted(self.generators, key=Trace.key)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._sort, self.generators) == (other._sort, other.generators)
+
+    def __hash__(self) -> int:
+        return hash((self._sort, self.generators))
+
+    def __repr__(self) -> str:
+        return f"TraceSet(sort={self._sort!r}, generators={self.generators!r})"
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through the public constructor
+        return TraceSet, (self._sort, self.generators)
 
 
 def sorted_set(sort: Sort, gens: Iterable[Trace]) -> TraceSet:

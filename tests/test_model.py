@@ -1,3 +1,6 @@
+import copy
+import itertools
+import pickle
 import random
 
 import pytest
@@ -47,6 +50,11 @@ from tracealg.model import (
 from tracealg.theories import open_transition_term
 from app_reference import ref_reify_trace
 from tuple_reference import (
+    loop_acquire,
+    loop_lookup,
+    loop_release,
+    loop_transition,
+    loop_update,
     RefStore,
     RefTrace,
     RefTransition,
@@ -818,3 +826,146 @@ def test_model_operations_make_no_checked_trace(monkeypatch):
     made = sum(len(K) for space, kw in inputs for K in unchecked_outputs(space, **kw)
                if isinstance(K, frozenset))
     assert made > 1000 and calls == []
+
+
+# ---------------------------------------------------------------------------
+# Held sets by first step: the index against the generator loops it replaced
+# (``tuple_reference.loop_*``), and the two views of one set
+
+
+def stuttering_set(space, rng):
+    """A cede-sorted set rich in generators that start with a stutter, one
+    step long among them: ``release`` puts their tails under the keys where
+    it puts every generator's steps."""
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        first = rng.choice(space.stutters)
+        rest = tuple(rng.choice(space.steps) for _ in range(rng.choice((0, 0, 1, 2))))
+        value = rng.choice(sorted(VALUES))
+        gens.append(Trace(CEDE, (first,) + rest, VALUES[value], value))
+    return sorted_set(CEDE, gens)
+
+
+def held_inputs(space, alg, rng):
+    """Hold-sorted sets of both views: built from generators (empty ones
+    among them) and built from an index by ``release`` and ``update``."""
+    released = alg.release(raw_set(space, CEDE, rng))
+    updated = alg.update(rng.randrange(space.width), rng.randint(0, 1), raw_set(space, HOLD, rng))
+    return [raw_set(space, HOLD, rng), raw_set(space, HOLD, rng), sorted_set(HOLD, ()),
+            released, updated, alg.release(stuttering_set(space, rng))]
+
+
+def built_from_index(K):
+    return K._index is not None
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
+def test_held_operations_equal_their_generator_loops(space):
+    rng = random.Random(100 + len(space.locations))
+    alg = TraceAlgebra(space)
+    mixed = 0
+    for _ in range(40):
+        sets = held_inputs(space, alg, rng)
+        for K in [raw_set(space, CEDE, rng), sorted_set(CEDE, ()), stuttering_set(space, rng)]:
+            got = alg.release(K)
+            assert got.sort is HOLD and built_from_index(got)
+            assert got == loop_release(space, K)
+        for K, L in itertools.product(sets, sets):
+            for loc in range(space.width):
+                assert alg.lookup(loc, K, L) == loop_lookup(space, loc, K, L)
+                mixed += built_from_index(K) != built_from_index(L)
+        for K in sets:
+            for loc in range(space.width):
+                for bit in (0, 1):
+                    assert alg.update(loc, bit, K) == loop_update(space, loc, bit, K)
+            for pre, post in itertools.product(space.stores, repeat=2):
+                assert alg.transition(pre, post, K) == loop_transition(space, pre, post, K)
+            assert alg.acquire(K) == loop_acquire(K)
+            for L in sets:
+                assert alg.join(HOLD, [K, L]).generators == K.generators | L.generators
+    assert mixed > 100
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
+def test_the_held_spine_equals_its_generator_loops(space):
+    # release, update, update, lookup, lookup, acquire: the spine of one
+    # reified step, each stage taking the previous stage's index
+    rng = random.Random(110 + len(space.locations))
+    alg = TraceAlgebra(space)
+    bottom = alg.join(HOLD, [])
+    for _ in range(60):
+        K = rng.choice((raw_set(space, CEDE, rng), stuttering_set(space, rng)))
+        got, want = alg.release(K), loop_release(space, K)
+        assert got == want
+        for loc in range(space.width):
+            bit = rng.randint(0, 1)
+            got, want = alg.update(loc, bit, got), loop_update(space, loc, bit, want)
+            assert built_from_index(got) and got == want
+        for loc in range(space.width):
+            if rng.randint(0, 1):
+                got, want = alg.lookup(loc, got, bottom), loop_lookup(space, loc, want, bottom)
+            else:
+                got, want = alg.lookup(loc, bottom, got), loop_lookup(space, loc, bottom, want)
+            assert built_from_index(got) and got == want
+        assert alg.acquire(got) == loop_acquire(want)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
+def test_both_views_of_a_set_read_alike(space):
+    rng = random.Random(120 + len(space.locations))
+    alg = TraceAlgebra(space)
+    copiers = [lambda K: pickle.loads(pickle.dumps(K)), copy.copy, copy.deepcopy]
+    empties = 0
+    for _ in range(60):
+        for K in filter(built_from_index, held_inputs(space, alg, rng)):
+            empty = K.is_empty()
+            assert K._gens is None  # is_empty reads the index
+            empties += empty
+            G = TraceSet(HOLD, K.generators)
+            assert not built_from_index(G) and G.is_empty() == empty
+            for a, b in ((K, G), (G, K)):
+                assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+                assert a.ordered() == b.ordered()
+                assert a._firsts == b._firsts
+            for copier in copiers:
+                back = copier(K)
+                assert back == K and hash(back) == hash(K) and back.sort is HOLD
+    assert empties > 0
+
+
+def test_held_operations_on_an_index_build_no_trace(monkeypatch):
+    import tracealg.model as model_module
+    import tracealg.traces as traces_module
+
+    rng = random.Random(130)
+    inputs = []
+    for space in SPACES:
+        alg = TraceAlgebra(space)
+        for _ in range(20):
+            K, L = alg.release(raw_set(space, CEDE, rng, least=1)), alg.release(stuttering_set(space, rng))
+            inputs.append((space, alg, K, L))
+    calls = []
+    checked, unchecked = Trace.__new__, traces_module._trace
+
+    def counting_new(cls, *args):
+        calls.append(args)
+        return checked(cls, *args)
+
+    def counting(*args):
+        calls.append(args)
+        return unchecked(*args)
+
+    monkeypatch.setattr(Trace, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(traces_module, "_trace", counting)
+    monkeypatch.setattr(model_module, "_trace", counting)
+    outputs = []
+    for space, alg, K, L in inputs:
+        for loc in range(space.width):
+            outputs.append(alg.lookup(loc, K, L))
+            for bit in (0, 1):
+                outputs.append(alg.update(loc, bit, K))
+        for pre, post in itertools.product(space.stores, repeat=2):
+            outputs.append(alg.transition(pre, post, L))
+    assert calls == [] and all(built_from_index(K) and K._gens is None for K in outputs)
+    made = sum(len(K.generators) for K in outputs)
+    assert made > 1000 and len(calls) == made  # the counter sees the materialised view

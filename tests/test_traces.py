@@ -1046,11 +1046,13 @@ def test_space_for_reads_the_width_of_the_steps(space):
 
 
 def test_public_constructors_still_reject_mis_sorted_generators():
-    # the model skips these checks through ``TraceSet._built`` and
+    # the model skips these checks through ``TraceSet._built``, ``_held`` and
     # ``traces._trace``; callers do not
     held = mk(HOLD, [("00", "01")], CEDE)
     with pytest.raises(ValueError):
         TraceSet(CEDE, frozenset({held}))
+    with pytest.raises(ValueError):
+        TraceSet(HOLD, frozenset({mk(CEDE, [("00", "01")], CEDE)}))
     with pytest.raises(ValueError):
         sorted_set(CEDE, [held])
     with pytest.raises(ValueError):

@@ -5,6 +5,11 @@ them into ints.  The tuple classes and the tuple-walking operations are kept
 here, as they were, so that tests can compare every packed operation with
 them.  A reference trace is a ``RefTrace`` whose steps are ``RefTransition``s;
 ``ref_trace`` converts a packed ``Trace`` through its ``bits``.
+
+The held operations ``update``, ``lookup``, ``release``, ``transition`` and
+``acquire`` now work on a hold-sorted set's first-step index.  Their packed
+loops over generators, which built every output trace, are kept at the end
+(``loop_*``), so that tests can compare the index with them too.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from tracealg import BROOKES, CEDE, HOLD
+from tracealg import BROOKES, CEDE, HOLD, TraceSet, canonicalize
+from tracealg.model import _fused
+from tracealg.traces import _trace
 
 
 class RefStore(NamedTuple):
@@ -264,3 +271,45 @@ def ref_gtable_update(width: int, loc: int, bit: int, rows: tuple) -> tuple:
 
 def ref_gtable_lookup(width: int, loc: int, rows0: tuple, rows1: tuple) -> tuple:
     return tuple((rows0, rows1)[s.get(loc)][i] for i, s in enumerate(ref_stores(width)))
+
+
+# ---------------------------------------------------------------------------
+# The held operations as packed generator loops, as they were before the
+# first-step index: each builds and hashes every output trace
+
+
+def loop_update(space, loc: int, bit: int, K: TraceSet) -> TraceSet:
+    mask = space.pre_mask(loc)
+    want = mask if bit else 0
+    table = space.steps
+    gens = set()
+    for g in K.generators:
+        _, steps, value_sort, value = g
+        first = steps[0]
+        if first & mask != want:
+            continue
+        gens.add(g)
+        gens.add(_trace(HOLD, (table[first ^ mask],) + steps[1:], value_sort, value))
+    return TraceSet._built(HOLD, gens)
+
+
+def loop_lookup(space, loc: int, K0: TraceSet, K1: TraceSet) -> TraceSet:
+    mask = space.pre_mask(loc)
+    gens = {g for g in K0.generators if not g.steps[0] & mask}
+    gens.update(g for g in K1.generators if g.steps[0] & mask)
+    return TraceSet._built(HOLD, gens)
+
+
+def loop_acquire(K: TraceSet) -> TraceSet:
+    gens = [_trace(CEDE, steps, value_sort, value) for _, steps, value_sort, value in K.generators]
+    return canonicalize(TraceSet._built(CEDE, gens))
+
+
+def loop_release(space, K: TraceSet) -> TraceSet:
+    runs = [()] + [(st,) for st in space.stutters]
+    return TraceSet._built(HOLD, {_trace(HOLD, run + steps, value_sort, value)
+                                  for _, steps, value_sort, value in K.generators for run in runs})
+
+
+def loop_transition(space, pre, post, K: TraceSet) -> TraceSet:
+    return TraceSet._built(HOLD, _fused(HOLD, (), space.step_of[pre][post], K))
