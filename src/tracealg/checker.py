@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .kernel import (
@@ -27,6 +26,7 @@ from .kernel import (
     Algebra,
     App,
     Operator,
+    Record,
     Sort,
     Term,
     Var,
@@ -73,50 +73,66 @@ from .traces import (
 )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of an equality or refinement query.
 
     A failed verdict carries a trace lying in exactly one denotation; the
     witness is the least failing generator (shortest first).
     """
 
+    __slots__ = _compared = _fields = ("holds", "witness", "direction")
     holds: bool
-    witness: Trace | None = None
-    direction: str = ""
+    witness: Trace | None
+    direction: str
 
-    def __post_init__(self) -> None:
-        if self.holds == (self.witness is not None):
+    def __init__(self, holds: bool, witness: Trace | None = None, direction: str = "") -> None:
+        if holds == (witness is not None):
             raise ValueError("a witness accompanies exactly the failed verdicts")
+        self._set(holds, witness, direction)
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class SampleConfig(Record):
     """Shape of randomly sampled closed sets and how many to draw."""
 
-    seed: int = 0
-    samples: int = 100
-    gens: tuple[int, int] = (0, 3)
-    length: tuple[int, int] = (1, 2)
+    __slots__ = _compared = _fields = ("seed", "samples", "gens", "length")
+    seed: int
+    samples: int
+    gens: tuple[int, int]
+    length: tuple[int, int]
 
-    def __post_init__(self) -> None:
-        if self.samples < 1:
+    def __init__(
+        self,
+        seed: int = 0,
+        samples: int = 100,
+        gens: tuple[int, int] = (0, 3),
+        length: tuple[int, int] = (1, 2),
+    ) -> None:
+        if samples < 1:
             raise ValueError("samples must be positive")
-        if self.gens[0] < 0 or self.length[0] < 1:
+        if gens[0] < 0 or length[0] < 1:
             raise ValueError("generator counts start at zero, lengths at one")
+        self._set(seed, samples, gens, length)
 
 
-@dataclass
-class ReportRow:
+class ReportRow(Record):
+    __slots__ = _compared = _fields = ("name", "ok", "detail")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, ok: bool, detail: str = "") -> None:
+        self._set(name, ok, detail)
 
 
-@dataclass
-class Report:
+class Report(Record):
+    __slots__ = _compared = _fields = ("title", "rows")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
     title: str
-    rows: list[ReportRow] = field(default_factory=list)
+    rows: list[ReportRow]
+
+    def __init__(self, title: str, rows: list[ReportRow] | None = None) -> None:
+        self._set(title, [] if rows is None else rows)
 
     @property
     def passed(self) -> bool:

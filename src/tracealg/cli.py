@@ -23,7 +23,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .checker import (
@@ -41,6 +40,7 @@ from .checker import (
 from .kernel import (
     App,
     RawTree,
+    Record,
     Sort,
     Term,
     TermError,
@@ -69,11 +69,15 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}")
 
 
-@dataclass
-class TermFile:
+class TermFile(Record):
+    __slots__ = _compared = _fields = ("theory", "ctx", "terms")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
     theory: Presentation
     ctx: dict[str, Sort]
     terms: dict[str, Term]
+
+    def __init__(self, theory: Presentation, ctx: dict[str, Sort], terms: dict[str, Term]) -> None:
+        self._set(theory, ctx, terms)
 
     @property
     def space(self) -> StoreSpace:

@@ -1,6 +1,10 @@
 """Multi-sorted signatures, sorted terms, substitution, and evaluation.
 
-Terms are immutable and carry their sort.  Every walk over a term is one
+Terms are immutable and carry their sort: ``Var`` and ``App`` are tuples of
+their fields whose equality, hash and repr walk an explicit stack, so any
+depth compares, hashes and prints.  ``Record`` is the base of the package's
+other records, written out so that importing it loads no ``dataclasses``.
+Every walk over a term is one
 ``fold``, on an explicit stack and memoized per node identity; ``evaluate``
 with a memo also value-numbers, so the terms that share the memo evaluate
 each distinct application once.  Joins are represented by a single variadic
@@ -9,8 +13,8 @@ operator per join-carrying sort; the empty join plays the role of bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar, Union
 
 
@@ -79,8 +83,52 @@ class MissingBinding(TermError):
     pass
 
 
-@dataclass(frozen=True)
-class Operator:
+class Record:
+    """A hand-written record over ``__slots__``, frozen unless it says not.
+
+    A subclass lists the fields its repr shows, in order, in ``_fields`` and
+    the ones that equality and the hash read in ``_compared``; a record
+    equals only a record of its own class.  ``__init__`` sets the fields
+    with ``_set``, in ``__slots__`` order.  A mutable record restores
+    ``object``'s ``__setattr__`` and ``__delattr__`` and is unhashable.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple) -> None:
+        # pickle and copy restore the slots past the frozen ``__setattr__``
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Operator(Record):
     """An operator with a result sort and an argument scheme.
 
     A variadic operator has a one-sort scheme repeated to any finite length;
@@ -88,16 +136,26 @@ class Operator:
     ``params`` identify the operator to algebras without parsing its name.
     """
 
+    __slots__ = _compared = _fields = ("name", "result", "args", "variadic", "kind", "params")
     name: str
     result: Sort
     args: tuple[Sort, ...]
-    variadic: bool = False
-    kind: str = "plain"
-    params: tuple = ()
+    variadic: bool
+    kind: str
+    params: tuple
 
-    def __post_init__(self) -> None:
-        if self.variadic and len(self.args) != 1:
-            raise ValueError(f"variadic operator {self.name} needs a one-sort scheme")
+    def __init__(
+        self,
+        name: str,
+        result: Sort,
+        args: tuple[Sort, ...],
+        variadic: bool = False,
+        kind: str = "plain",
+        params: tuple = (),
+    ) -> None:
+        if variadic and len(args) != 1:
+            raise ValueError(f"variadic operator {name} needs a one-sort scheme")
+        self._set(name, result, args, variadic, kind, params)
 
     def scheme(self, arity: int) -> tuple[Sort, ...]:
         if self.variadic:
@@ -108,51 +166,53 @@ class Operator:
         return arity >= 0 if self.variadic else arity == len(self.args)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """A finite set of sorts and named operators, plus surface-name aliases.
 
     Aliases let one concrete spelling (``or``) stand for several operators
     that differ only in sort; resolution happens during sort checking.
     """
 
-    sorts: frozenset[Sort]
-    operators: Mapping[str, Operator]
-    aliases: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     # The first join operator of each sort, derived from ``operators``, and,
     # where that join accepts zero arguments, its empty application: one
     # term per sort.  Every other operator by its kind and parameters, the
     # first where two share them.
-    _joins: Mapping[Sort, Operator] = field(init=False, repr=False, compare=False)
-    _bottoms: Mapping[Sort, "App"] = field(init=False, repr=False, compare=False)
-    _by_kind: Mapping[tuple, Operator] = field(init=False, repr=False, compare=False)
+    __slots__ = ("sorts", "operators", "aliases", "_joins", "_bottoms", "_by_kind")
+    _compared = _fields = __slots__[:3]
+    sorts: frozenset[Sort]
+    operators: Mapping[str, Operator]
+    aliases: Mapping[str, tuple[str, ...]]
+    _joins: Mapping[Sort, Operator]
+    _bottoms: Mapping[Sort, "App"]
+    _by_kind: Mapping[tuple, Operator]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        sorts: frozenset[Sort],
+        operators: Mapping[str, Operator],
+        aliases: Mapping[str, tuple[str, ...]] | None = None,
+    ) -> None:
+        aliases = {} if aliases is None else aliases
         joins: dict[Sort, Operator] = {}
         by_kind: dict[tuple, Operator] = {}
-        for name, op in self.operators.items():
+        for name, op in operators.items():
             if name != op.name:
                 raise ValueError(f"operator {op.name} keyed as {name}")
             mentioned = {op.result, *op.args}
-            if not mentioned <= self.sorts:
+            if not mentioned <= sorts:
                 raise ValueError(f"operator {name} mentions sorts outside the signature")
             if op.kind == "join":
                 joins.setdefault(op.result, op)
             else:
                 by_kind.setdefault((op.kind, op.params), op)
-        object.__setattr__(self, "_joins", joins)
-        object.__setattr__(self, "_by_kind", by_kind)
-        object.__setattr__(
-            self,
-            "_bottoms",
-            {sort: App(op.name, (), sort) for sort, op in joins.items() if op.accepts_arity(0)},
-        )
-        for alias, names in self.aliases.items():
+        bottoms = {sort: App(op.name, (), sort) for sort, op in joins.items() if op.accepts_arity(0)}
+        for alias, names in aliases.items():
             for name in names:
-                if name not in self.operators:
+                if name not in operators:
                     raise ValueError(f"alias {alias} points at unknown operator {name}")
-            if len({self.operators[name].result for name in names}) != len(names):
+            if len({operators[name].result for name in names}) != len(names):
                 raise ValueError(f"alias {alias} names two operators of one sort")
+        self._set(sorts, operators, aliases, joins, bottoms, by_kind)
 
     def candidates(self, name: str) -> tuple[Operator, ...]:
         if name in self.operators:
@@ -173,17 +233,122 @@ class Signature:
 VarContext = Mapping[str, Sort]
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    sort: Sort
+_MASK = (1 << 64) - 1
+_XXPRIME_1, _XXPRIME_2, _XXPRIME_5 = 11400714785074694791, 14029467366897019727, 2870177450012600261
 
 
-@dataclass(frozen=True)
-class App:
-    op: str
-    args: tuple["Term", ...]
-    sort: Sort
+def _tuple_hash(lanes: Sequence[int]) -> int:
+    """``hash`` of a tuple whose items hash to ``lanes``: CPython's 64-bit
+    tuple hash, so that a term hashes as the tuple of its fields would."""
+    acc = _XXPRIME_5
+    for lane in lanes:
+        acc = (acc + (lane & _MASK) * _XXPRIME_2) & _MASK
+        acc = ((acc << 31 | acc >> 33) & _MASK) * _XXPRIME_1 & _MASK
+    acc = (acc + (len(lanes) ^ _XXPRIME_5 ^ 3527539)) & _MASK
+    return 1546275796 if acc == _MASK else acc - (acc >> 63 << 64)
+
+
+def _unordered(symbol: str) -> Callable:
+    def refuse(self: tuple, other: object) -> bool:
+        if isinstance(other, tuple):  # else ``tuple``'s own order would answer
+            raise TypeError(
+                f"'{symbol}' not supported between instances of "
+                f"{type(self).__name__!r} and {type(other).__name__!r}"
+            )
+        return NotImplemented
+
+    return refuse
+
+
+class _Term(tuple):
+    """A term is a tuple of its fields that equals no plain tuple and has no
+    order; ``App``'s tuple hash, equality and order would recurse in C,
+    without a depth check, through its arguments."""
+
+    __slots__ = ()
+    __lt__, __le__, __gt__, __ge__ = map(_unordered, ("<", "<=", ">", ">="))
+
+    def __ne__(self, other: object) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+
+class Var(_Term):
+    """A variable: the tuple ``(name, sort)``."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __new__(cls, name: str, sort: Sort) -> "Var":
+        return tuple.__new__(cls, (name, sort))
+
+    name = property(itemgetter(0))
+    sort = property(itemgetter(1))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is Var:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Var(name={self[0]!r}, sort={self[1]!r})"
+
+
+class App(_Term):
+    """An application: the tuple ``(op, args, sort)``, ``args`` a tuple of
+    terms.  Equality, the hash and the repr walk an explicit stack, so a
+    term of any depth has all three."""
+
+    __slots__ = ()
+
+    def __new__(cls, op: str, args: tuple["Term", ...], sort: Sort) -> "App":
+        return tuple.__new__(cls, (op, args, sort))
+
+    op = property(itemgetter(0))
+    args = property(itemgetter(1))
+    sort = property(itemgetter(2))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not App:
+            return False if isinstance(other, tuple) else NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not App or type(b) is not App:
+                if a != b:
+                    return False
+            elif a[0] != b[0] or a[2] != b[2] or len(a[1]) != len(b[1]):
+                return False
+            else:
+                pairs += zip(a[1], b[1])
+        return True
+
+    def __hash__(self) -> int:
+        return fold(
+            self, hash, lambda n, args: _tuple_hash((hash(n[0]), _tuple_hash(args), hash(n[2])))
+        )
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list = [self]  # terms to print, and the text between them
+        while stack:
+            n = stack.pop()
+            if type(n) is str:
+                out.append(n)
+                continue
+            args = n[1]
+            stack.append(f"{',' if len(args) == 1 else ''}), sort={n[2]!r})")
+            for i in reversed(range(len(args))):
+                stack.append(args[i] if type(args[i]) is App else repr(args[i]))
+                if i:
+                    stack.append(", ")
+            out.append(f"App(op={n[0]!r}, args=(")
+        return "".join(out)
 
 
 Term = Union[Var, App]
@@ -251,7 +416,7 @@ def check_sort(
     def walk(node: RawTree, want: Sort | None) -> Iterator:
         if isinstance(node, str):
             return leaf(node, want)
-        if not isinstance(node, (tuple, list)) or not node or not isinstance(node[0], str):
+        if type(node) not in (tuple, list) or not node or not isinstance(node[0], str):
             raise UnknownOperator(f"malformed node {node!r}")
         name, children = node[0], tuple(node[1:])
         ops = sig.candidates(name)

@@ -40,7 +40,6 @@ without ``kernel.app``'s per-node checks (see ``open_transition_term``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .kernel import (
@@ -50,6 +49,7 @@ from .kernel import (
     App,
     MissingBinding,
     Operator,
+    Record,
     Signature,
     Sort,
     SortMismatch,
@@ -399,11 +399,14 @@ def hush_step(K: TraceSet, space: StoreSpace) -> frozenset[Trace]:
 # The state-function model of nondeterministic global state
 
 
-@dataclass(frozen=True)
-class GTable:
+class GTable(Record):
     """For each input store (in space order), the set of (value, store) outcomes."""
 
+    __slots__ = _compared = _fields = ("rows",)
     rows: tuple[frozenset[tuple[str, Store]], ...]
+
+    def __init__(self, rows: tuple[frozenset[tuple[str, Store]], ...]) -> None:
+        object.__setattr__(self, "rows", rows)  # built once per G operation
 
     def is_empty(self) -> bool:
         return all(not row for row in self.rows)

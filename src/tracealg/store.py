@@ -24,9 +24,10 @@ the tables of the width they were given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple
+
+from .kernel import Record
 
 
 class Store(int):
@@ -163,8 +164,7 @@ def packing(width: int) -> Packing:
     return tables
 
 
-@dataclass(frozen=True)
-class StoreSpace:
+class StoreSpace(Record):
     """The set of all stores over an ordered location list (default ``x, y``).
 
     The ``Packing`` tables of its width are its fields, shared by every
@@ -174,22 +174,23 @@ class StoreSpace:
     at ``stores[i]``, and ``pre_masks`` the values of ``pre_mask``.
     """
 
-    locations: tuple[str, ...] = ("x", "y")
-    stores: tuple[Store, ...] = field(init=False, repr=False, compare=False)
-    steps: tuple[Transition, ...] = field(init=False, repr=False, compare=False)
-    stutters: tuple[Transition, ...] = field(init=False, repr=False, compare=False)
-    pre_of: tuple[Store, ...] = field(init=False, repr=False, compare=False)
-    post_of: tuple[Store, ...] = field(init=False, repr=False, compare=False)
-    step_of: tuple[tuple[Transition, ...], ...] = field(init=False, repr=False, compare=False)
-    pre_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("locations", *Packing._fields)
+    _compared = _fields = ("locations",)
+    locations: tuple[str, ...]
+    stores: tuple[Store, ...]
+    steps: tuple[Transition, ...]
+    stutters: tuple[Transition, ...]
+    pre_of: tuple[Store, ...]
+    post_of: tuple[Store, ...]
+    step_of: tuple[tuple[Transition, ...], ...]
+    pre_masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.locations:
+    def __init__(self, locations: tuple[str, ...] = ("x", "y")) -> None:
+        if not locations:
             raise ValueError("at least one location is required")
-        if len(set(self.locations)) != len(self.locations):
-            raise ValueError(f"duplicate locations in {self.locations}")
-        for name, table in zip(Packing._fields, packing(len(self.locations))):
-            object.__setattr__(self, name, table)
+        if len(set(locations)) != len(locations):
+            raise ValueError(f"duplicate locations in {locations}")
+        self._set(locations, *packing(len(locations)))
 
     @property
     def width(self) -> int:

@@ -26,7 +26,6 @@ state or transition operators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -36,6 +35,7 @@ from .kernel import (
     STAR,
     App,
     Operator,
+    Record,
     Signature,
     Sort,
     SortMismatch,
@@ -62,8 +62,7 @@ class TranslationMismatch(Exception):
 THEORY_NAMES = ("J", "V", "G", "S", "B", "Tgs", "Tr")
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record):
     """Instantiation bounds for axiom schemes.
 
     ``max_join_arity`` caps the arity-indexed distributivity schemes;
@@ -71,16 +70,23 @@ class Bounds:
     (outer arity, inner arities, and flattened arity all at most this).
     """
 
-    max_join_arity: int = 4
-    max_squash: int = 3
+    __slots__ = _compared = _fields = ("max_join_arity", "max_squash")
+    max_join_arity: int
+    max_squash: int
+
+    def __init__(self, max_join_arity: int = 4, max_squash: int = 3) -> None:
+        self._set(max_join_arity, max_squash)
 
 
-@dataclass(frozen=True)
-class AxiomInstance:
+class AxiomInstance(Record):
+    __slots__ = _compared = _fields = ("scheme", "ctx", "lhs", "rhs")
     scheme: str
     ctx: tuple[tuple[str, Sort], ...]
     lhs: Term
     rhs: Term
+
+    def __init__(self, scheme: str, ctx: tuple[tuple[str, Sort], ...], lhs: Term, rhs: Term) -> None:
+        self._set(scheme, ctx, lhs, rhs)
 
     @property
     def context(self) -> dict[str, Sort]:
@@ -91,20 +97,30 @@ class AxiomInstance:
 Row = tuple[dict[str, Sort], Term, Term]
 
 
-@dataclass(frozen=True)
-class AxiomScheme:
+class AxiomScheme(Record):
     """A named law; ``rows(bounds)`` yields its instances within the bounds."""
 
+    __slots__ = _fields = ("name", "rows")
+    _compared = ("name",)
     name: str
-    rows: Callable[[Bounds], Iterable[Row]] = field(compare=False)
+    rows: Callable[[Bounds], Iterable[Row]]
+
+    def __init__(self, name: str, rows: Callable[[Bounds], Iterable[Row]]) -> None:
+        self._set(name, rows)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
+    __slots__ = _fields = ("name", "space", "signature", "schemes")
+    _compared = _fields[:3]
     name: str
     space: StoreSpace
     signature: Signature
-    schemes: tuple[AxiomScheme, ...] = field(compare=False)
+    schemes: tuple[AxiomScheme, ...]
+
+    def __init__(
+        self, name: str, space: StoreSpace, signature: Signature, schemes: tuple[AxiomScheme, ...]
+    ) -> None:
+        self._set(name, space, signature, schemes)
 
 
 def instantiate_axioms(p: Presentation, bounds: Bounds = Bounds()) -> list[AxiomInstance]:
@@ -450,8 +466,7 @@ def build(name: str, space: StoreSpace = StoreSpace()) -> Presentation:
 # Translations
 
 
-@dataclass(frozen=True)
-class Translation:
+class Translation(Record):
     """Maps each source operator to a target term over variables x0, x1, ...
 
     ``op_images`` lists only the operators the translation rewrites.  Two
@@ -462,11 +477,23 @@ class Translation:
     denotational deciders, not here.
     """
 
+    __slots__ = _fields = ("name", "source", "target", "sort_map", "op_images")
+    _compared = _fields[:4]
     name: str
     source: Presentation
     target: Presentation
     sort_map: Mapping[Sort, Sort]
-    op_images: Mapping[str, Term] = field(compare=False)
+    op_images: Mapping[str, Term]
+
+    def __init__(
+        self,
+        name: str,
+        source: Presentation,
+        target: Presentation,
+        sort_map: Mapping[Sort, Sort],
+        op_images: Mapping[str, Term],
+    ) -> None:
+        self._set(name, source, target, sort_map, op_images)
 
     def image(self, op_name: str, arity: int) -> Term:
         """The target term for ``op_name`` at ``arity`` over x0, x1, ..."""
@@ -557,6 +584,7 @@ def _builtin_cached(locations: tuple[str, ...]) -> dict[str, Translation]:
     # Tr ~> S and S ~> Tr keep the joins and the acquire/release pair, and
     # rewrite only the hold-sort operators.
     e_trs = Translation("E_TrS", tr, s, {HOLD: HOLD, CEDE: CEDE}, transitions_to_open(s, HOLD))
+    e_bs = compose(e_tr, e_trs)
     return {
         # G ~> S: the hold-sort copy.
         "E": Translation("E", g, s, {STAR: HOLD}, {}),
@@ -567,7 +595,7 @@ def _builtin_cached(locations: tuple[str, ...]) -> dict[str, Translation]:
         "E_Tr": e_tr,
         "E_TrS": e_trs,
         "E_STr": Translation("E_STr", s, tr, {HOLD: HOLD, CEDE: CEDE}, state_to_transitions(tr, HOLD)),
-        "E_BS": replace(compose(e_tr, e_trs), name="E_BS"),
+        "E_BS": Translation("E_BS", e_bs.source, e_bs.target, e_bs.sort_map, e_bs.op_images),
     }
 
 

@@ -1,4 +1,5 @@
-"""The transition-term builders as they were, one checked ``app`` per node.
+"""The transition-term builders as they were, one checked ``app`` per node,
+and the terms as they were, frozen dataclasses.
 
 ``theories.open_transition_term`` and ``model.reify_trace`` now take their
 operators from the signature's index, build every node as a plain ``App``
@@ -6,11 +7,16 @@ and check only the body's sort.  These are the earlier versions, which
 format each operator's name and build every node through ``kernel.app`` and
 its arity and sort checks, so that tests can compare the two: equal terms,
 and the same ``SortMismatch`` for a body of the wrong sort.
+
+``RefVar`` and ``RefApp`` are ``kernel.Var`` and ``kernel.App`` as frozen
+dataclasses, whose generated hash, equality and repr the tuple terms keep.
 """
 
 from __future__ import annotations
 
-from tracealg.kernel import CEDE, Var, app, bottom
+from dataclasses import dataclass
+
+from tracealg.kernel import CEDE, Sort, Var, app, bottom
 from tracealg.theories import build, lookup_name, update_name
 
 
@@ -42,3 +48,18 @@ def ref_reify_trace(space, t):
     if t.start is CEDE:
         acc = app(sig, "acq", acc)
     return acc
+
+
+@dataclass(frozen=True)
+class RefVar:
+    name: str
+    sort: Sort
+
+
+@dataclass(frozen=True)
+class RefApp:
+    op: str
+    args: tuple
+    sort: Sort
+
+

@@ -105,7 +105,7 @@ def test_check_sort_matches_the_recursive_reference(theory):
             for expected in sorts:
                 got = outcome(check_sort, sig, ctx, raw, expected)
                 assert got == outcome(ref.check_sort, sig, ctx, raw, expected)
-                failures += isinstance(got, tuple)
+                failures += type(got) is tuple
     assert failures  # the trees reach the error paths
 
 
@@ -135,7 +135,7 @@ def test_check_sort_errors_cover_every_kind():
         for expected in (None, HOLD, CEDE):
             got = outcome(check_sort, sig, ctx, raw, expected)
             assert got == outcome(ref.check_sort, sig, ctx, raw, expected)
-            seen.add(got[0].__name__ if isinstance(got, tuple) else "term")
+            seen.add(got[0].__name__ if type(got) is tuple else "term")
     assert seen == {
         "term", "AmbiguousSort", "SortMismatch", "UnknownVariable", "UnknownOperator",
         "ArityMismatch",
