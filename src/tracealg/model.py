@@ -14,21 +14,23 @@ Two boundary rules put steps in front of generators.  A ceding boundary lets
 the environment run, so the steps on either side concatenate: ``_prefixed``
 builds Brookes transitions, reads and writes, ``yield1`` and ceding
 ``kleisli``.  A held boundary holds the global lock, so the steps around it
-fuse into one: ``_fused`` builds held ``kleisli``.  Stores and steps are
-ints (see ``store``): operations test locations with masks and take every
-step they emit from the space's tables.
+fuse into one: ``_fused`` re-keys a hold-sorted set's first-step index (see
+``traces.TraceSet``) and builds ``transition`` and held ``kleisli``.  Stores
+and steps are ints (see ``store``): operations test locations with masks and
+take every step they emit from the space's tables.
 
-The held operations act only on a generator's first step, so they work on a
-hold-sorted set's first-step index (see ``traces.TraceSet``).  ``update``,
-``lookup`` and ``transition`` are the fusion rule over one location's bit or
-one step: they filter and re-key first steps, share their tail sets, and
-build no trace.  ``release`` indexes its set, with every generator's steps
-under each stutter, and ``acquire`` builds its cede traces from the index.
+The held operations act only on a generator's first step, so they work on
+the first-step index.  ``update``, ``lookup`` and ``transition`` are the
+fusion rule over one location's bit or one step: they filter and re-key
+first steps, share their tail sets, and build no trace.  ``release`` indexes
+its set with a copy of every generator under each stutter, since a held
+start blocks front stuttering; ``acquire`` builds its cede traces from the
+index and skips those copies, which the ceding start makes deducible again.
 
 Checks run where values enter: the public constructors (``Trace``,
 ``TraceSet``, ``sorted_set``, ``brookes_set``), ``unit``'s sort, and each
 operation's ``_expect`` on its arguments' sorts.  Past those, ``_prefixed``,
-``_fused`` and ``acquire`` build each generator through the unchecked
+held ``kleisli`` and ``acquire`` build each generator through the unchecked
 ``traces._trace``, since it takes its sorts from a checked generator or a
 sort constant and its steps from that generator, the index and the space's
 tables, and every operation builds its result through ``TraceSet._built``
@@ -87,21 +89,17 @@ def _prefixed(start: Sort, runs: Sequence[tuple[Transition, ...]], K: TraceSet) 
             for _, steps, value_sort, value in K.generators for run in runs]
 
 
-def _fused(start: Sort, prefix: tuple[Transition, ...], step: Transition, K: TraceSet) -> set[Trace]:
-    """The fusion rule: each generator of the hold-sorted ``K`` whose first
-    step relies on the store ``step`` leaves, behind ``prefix`` and with
-    ``step`` fused into that first step, from ``start``.  Exact: the first
-    step of a hold-sorted trace keeps its source store under all sorted
-    deductions, so this computes the image of the closure."""
+def _fused(step: Transition, firsts: dict[Transition, frozenset[tuple]]) -> dict[Transition, frozenset[tuple]]:
+    """The fusion rule on a first-step index: each first step that relies on
+    the store ``step`` leaves becomes the step from ``step``'s source to its
+    own target, with its tails; the other first steps drop.  Exact: the
+    first step of a hold-sorted trace keeps its source store under all
+    sorted deductions, so this is the index of the image of the closure.
+    First steps with one source differ in their targets, so none collide."""
     tables = step.tables
     pre_of, post_of = tables.pre_of, tables.post_of
     from_pre, mid = tables.step_of[pre_of[step]], post_of[step]
-    gens = set()
-    for _, steps, value_sort, value in K.generators:
-        first = steps[0]
-        if pre_of[first] is mid:
-            gens.add(_trace(start, prefix + (from_pre[post_of[first]],) + steps[1:], value_sort, value))
-    return gens
+    return {from_pre[post_of[first]]: tails for first, tails in firsts.items() if pre_of[first] is mid}
 
 
 class TraceAlgebra(Algebra):
@@ -113,8 +111,8 @@ class TraceAlgebra(Algebra):
     then recovered by closure) and returns the canonical form; release emits
     each generator both bare and behind every possible stutter, since a held
     start blocks front stuttering.  Those stutter-prefixed generators are
-    deducible again once the start sort cedes, so acquire drops them, which
-    keeps nested delimiter chains from compounding.
+    deducible again once the start sort cedes, so acquire does not build
+    them, which keeps nested delimiter chains from compounding.
     """
 
     def __init__(self, space: StoreSpace, signature: Signature | None = None):
@@ -131,7 +129,7 @@ class TraceAlgebra(Algebra):
 
     def update(self, loc: int, bit: int, K: TraceSet) -> TraceSet:
         """The held rule over one bit, the union over stores ``s`` of
-        ``_fused(HOLD, (), step(s, s with loc := bit), K)``: a first step
+        ``_fused(step(s, s with loc := bit), K._firsts)``: a first step
         that relies on ``loc = bit`` keeps its tails, which its copy with
         that bit of its source flipped shares; the other first steps drop."""
         _expect(K, HOLD)
@@ -162,8 +160,24 @@ class TraceAlgebra(Algebra):
         return TraceSet._held(firsts)
 
     def acquire(self, K: TraceSet) -> TraceSet:
+        """The generators restarted at the ceding sort, in canonical form,
+        built from the index without the copies ``release`` pads: those whose
+        first step is a stutter and whose remainder is a generator too.
+        Exact: the remainder is shorter and deduces the copy and all it
+        deduces, so ``canonicalize``'s scan would drop the copy and keep the
+        rest as it does without it (twice-padded copies first)."""
         _expect(K, HOLD)
-        return canonicalize(TraceSet._built(CEDE, K._restarted(CEDE)))
+        space = self.space
+        pre_of, post_of = space.pre_of, space.post_of
+        firsts = K._firsts
+        gens = []
+        for first, tails in firsts.items():
+            stutter = pre_of[first] is post_of[first]
+            for rest, value_sort, value in tails:
+                if stutter and rest and (rest[1:], value_sort, value) in firsts.get(rest[0], ()):
+                    continue
+                gens.append(_trace(CEDE, (first,) + rest, value_sort, value))
+        return canonicalize(TraceSet._built(CEDE, gens))
 
     def release(self, K: TraceSet) -> TraceSet:
         """Each generator bare, indexed by its first step, and whole behind
@@ -182,14 +196,10 @@ class TraceAlgebra(Algebra):
 
     def transition(self, pre: Store, post: Store, K: TraceSet) -> TraceSet:
         """Assert the store is ``pre`` and move it to ``post``: Tr's operator,
-        which agrees with S's assert/update blocks under ``E_TrS``.  The
-        fusion rule on the index: each first step that relies on ``post``
-        becomes the step from ``pre`` to its post store."""
+        which agrees with S's assert/update blocks under ``E_TrS``: the
+        fusion rule for the step from ``pre`` to ``post``."""
         _expect(K, HOLD)
-        space = self.space
-        pre_of, post_of, from_pre = space.pre_of, space.post_of, space.step_of[pre]
-        return TraceSet._held({from_pre[post_of[first]]: tails
-                               for first, tails in K._firsts.items() if pre_of[first] is post})
+        return TraceSet._held(_fused(self.space.step_of[pre][post], K._firsts))
 
     def unit(self, sort: Sort, value: str) -> TraceSet:
         return unit(self.space, sort, value)
@@ -199,23 +209,30 @@ def kleisli(env: Mapping[str, TraceSet], K: TraceSet) -> TraceSet:
     """Substitute continuations for values, generator by generator.
 
     A ceding value splices the continuation's transitions after the prefix
-    (``_prefixed``); a held value must chain, fusing the boundary transitions
-    around the shared intermediate store (``_fused``).  Both parts follow
-    from the ends-invariance of closed sets, so generator pairs suffice."""
+    (``_prefixed``); a held value must chain, fusing the generator's last
+    step into the first steps of its continuation's index, grouped once per
+    call (``_fused``), and putting its other steps in front of the tails.
+    Both parts follow from the ends-invariance of closed sets, so generator
+    pairs suffice."""
     gens: set[Trace] = set()
-    for g in K.generators:
-        if g.value not in env:
-            raise MissingBinding(f"no continuation for value {g.value!r}")
-        cont = env[g.value]
-        if cont.sort is not g.value_sort:
+    held: dict[str, dict] = {}
+    for start, steps, value_sort, value in K.generators:
+        if value not in env:
+            raise MissingBinding(f"no continuation for value {value!r}")
+        cont = env[value]
+        if cont.sort is not value_sort:
             raise SortMismatch(
-                f"continuation for {g.value!r} is {cont.sort.value}-sorted, "
-                f"value needs {g.value_sort.value}"
+                f"continuation for {value!r} is {cont.sort.value}-sorted, "
+                f"value needs {value_sort.value}"
             )
-        if g.value_sort is CEDE:
-            gens.update(_prefixed(g.start, (g.steps,), cont))
-        else:
-            gens.update(_fused(g.start, g.steps[:-1], g.steps[-1], cont))
+        if value_sort is CEDE:
+            gens.update(_prefixed(start, (steps,), cont))
+            continue
+        if value not in held:
+            held[value] = cont._firsts
+        for first, tails in _fused(steps[-1], held[value]).items():
+            run = steps[:-1] + (first,)
+            gens.update([_trace(start, run + rest, sort, name) for rest, sort, name in tails])
     return TraceSet._built(K.sort, gens)
 
 
@@ -281,7 +298,7 @@ class BrookesAlgebra(Algebra):
         """Branch on a location: a stutter records the store that was read."""
         _expect(K0, CEDE)
         _expect(K1, CEDE)
-        mask, stutters = self.space.pre_mask(loc), self.space.stutters
+        mask, stutters = self.space.pre_masks[loc], self.space.stutters
         gens = set(_prefixed(CEDE, [(st,) for st in stutters if not st & mask], K0))
         gens.update(_prefixed(CEDE, [(st,) for st in stutters if st & mask], K1))
         return TraceSet._built(CEDE, gens)

@@ -9,7 +9,7 @@ that layout.
 
 Both are ``int`` subclasses, one interned object per width and value, so
 hashing and comparing them is C-level int work.  Callers test a store's
-bits with ``StoreSpace.mask`` and a step's pre-store bits with ``pre_mask``,
+bits with ``StoreSpace.mask`` and a step's pre-store bits with ``pre_masks``,
 and read and build steps through the per-width tables of ``Packing``
 (``pre_of``, ``post_of``, ``step_of``, ``stutters``, ``pre_masks``) instead
 of constructing objects; ``bits``, ``pre``, ``post`` and the rendered
@@ -171,7 +171,9 @@ class StoreSpace(Record):
     space of that width: ``stores[i]`` is the store ``i``, ``steps[i]`` the
     transition ``i``, ``step_of[pre][post]`` the transition ``(pre, post)``,
     ``pre_of``/``post_of`` a step's stores, ``stutters[i]`` the stutter
-    at ``stores[i]``, and ``pre_masks`` the values of ``pre_mask``.
+    at ``stores[i]``, and ``pre_masks[loc]`` the bit of location ``loc`` of
+    a step's pre store, in the step: ``steps[step ^ pre_masks[loc]]`` is
+    ``step`` with that bit flipped.
     """
 
     __slots__ = ("locations", *Packing._fields)
@@ -199,11 +201,6 @@ class StoreSpace(Record):
     def mask(self, loc: int) -> int:
         """The bit of location ``loc`` in a store."""
         return 1 << (len(self.locations) - 1 - loc)
-
-    def pre_mask(self, loc: int) -> int:
-        """The bit of location ``loc`` of a step's pre store, in the step:
-        ``steps[step ^ pre_mask(loc)]`` is ``step`` with that bit flipped."""
-        return self.pre_masks[loc]
 
     def parse_store(self, text: str) -> Store:
         if len(text) != len(self.locations) or any(c not in "01" for c in text):

@@ -16,8 +16,9 @@ itself is countably infinite and never materialised.  A hold-sorted set has
 a second view, its first-step index: each first step ``a`` with the set of
 tails that follow it, so the set is the union over ``a`` of ``a`` before the
 tails of ``a``, the first layer of Brzozowski's derivatives.  The held model
-operations act only on first steps, so they build and read this view, and a
-set derives the view it was not built from on first use (``TraceSet``).
+operations and the held half of ``kleisli`` act only on first steps, so they
+build and read this view, and a set derives the view it was not built from
+on first use (``TraceSet``).
 Membership in a closure is decided by a
 bit-parallel dynamic program: the generators that share start sort, value
 sort and value are compiled once, side by side, into one bitmask per store
@@ -176,7 +177,9 @@ class TraceSet:
     def generators(self) -> frozenset[Trace]:
         gens = self._gens
         if gens is None:
-            gens = self._gens = frozenset(self._restarted(HOLD))
+            gens = self._gens = frozenset([_trace(HOLD, (first,) + rest, value_sort, value)
+                                           for first, tails in self._index.items()
+                                           for rest, value_sort, value in tails])
         return gens
 
     @property
@@ -192,15 +195,6 @@ class TraceSet:
             for first, tails in index.items():
                 index[first] = frozenset(tails)
         return index
-
-    def _restarted(self, start: Sort) -> list[Trace]:
-        """The generators with their start sort replaced by ``start``, built
-        from the generators if they are, else from the index."""
-        if self._gens is not None:
-            return [_trace(start, steps, value_sort, value)
-                    for _, steps, value_sort, value in self._gens]
-        return [_trace(start, (first,) + rest, value_sort, value)
-                for first, tails in self._index.items() for rest, value_sort, value in tails]
 
     def is_empty(self) -> bool:
         gens = self._gens
@@ -540,32 +534,10 @@ def canonicalize(K: TraceSet) -> TraceSet:
     it with the heads enabled of the generators after it and of the
     survivors before it: its own head is cleared for its test and set back
     only if it survives.
-
-    Before the scan, a cede-start generator ``g`` whose first step is a
-    stutter is dropped without a membership test when its remainder ``r``
-    (the steps after that stutter) is also a generator: these are the
-    copies that ``release`` pads and ``acquire`` relabels.  This is exact.
-    ``r`` deduces ``g`` by a front stutter and is shorter, so the scan, which
-    tests ``g`` against every generator after it, would drop ``g``.  And
-    ``g`` decides no other generator's fate: one before ``g`` that ``g``
-    deduces, ``r`` deduces too, and ``r`` comes after it as well; none after
-    ``g`` is tested against ``g``, which does not survive.  A copy padded
-    twice drops by the same argument, before its remainder does.
     """
-    gens = K.generators
     buckets: dict[tuple, list[Trace]] = {}
-    for g in gens:
-        start, steps, value_sort, value = g
-        if start is CEDE:
-            first = steps[0]
-            tables = first.tables
-            # a ``Trace`` is its tuple, so the tuple finds the remainder; a
-            # one-step generator's remainder is empty, which no trace is
-            if tables.pre_of[first] is tables.post_of[first] and (
-                (start, steps[1:], value_sort, value) in gens
-            ):
-                continue
-        buckets.setdefault((start, value_sort, value), []).append(g)
+    for g in K.generators:
+        buckets.setdefault((g[0], g[2], g[3]), []).append(g)
     kept: list[Trace] = []
     for bucket in buckets.values():
         if len(bucket) == 1:  # nothing to compare, so no normal form needed

@@ -550,7 +550,7 @@ def test_space_tables_match_store_operations(space):
             step = space.step_of[p][q]
             assert space.pre_of[step] is p and space.post_of[step] is q
             for loc in range(space.width):
-                flipped = space.steps[step ^ space.pre_mask(loc)]
+                flipped = space.steps[step ^ space.pre_masks[loc]]
                 assert flipped is Transition(p.set(loc, 1 - p.get(loc)), q)
 
 
@@ -586,8 +586,11 @@ def test_trace_operations_equal_store_scans(space):
 
 
 def fused_by_definition(start, prefix, step, K):
-    """``model._fused`` read off its docstring, through the checked
-    ``Transition`` constructor and its ``pre``/``post`` properties."""
+    """The fusion rule read off ``model._fused``'s docstring, on generators,
+    through the checked ``Transition`` constructor and its ``pre``/``post``
+    properties: each generator of the hold-sorted ``K`` whose first step
+    relies on the store ``step`` leaves, behind ``prefix`` and with ``step``
+    fused into that first step, from ``start``."""
     return {
         Trace(start, prefix + (Transition(step.pre, h.steps[0].post),) + h.steps[1:],
               h.value_sort, h.value)
@@ -596,45 +599,99 @@ def fused_by_definition(start, prefix, step, K):
     }
 
 
+def fusion_inputs(space, alg, rng):
+    """Hold-sorted sets of both views, with multi-generator sets as the
+    model makes them beside raw ones, and the environment of the last."""
+    env = {"u": raw_set(space, HOLD, rng, least=1), "v": raw_set(space, CEDE, rng)}
+    released = alg.release(raw_set(space, CEDE, rng, least=1))
+    bound = kleisli(env, raw_set(space, HOLD, rng, least=1))
+    return [raw_set(space, HOLD, rng), raw_set(space, HOLD, rng), released, bound], env
+
+
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
-def test_held_operations_are_the_fusion_rule(space):
+def test_fused_is_the_fusion_rule_on_the_index(space):
     from tracealg.model import _fused
 
-    def fused(start, prefix, step, K):
-        got = _fused(start, prefix, step, K)
-        assert got == fused_by_definition(start, prefix, step, K)
-        return got
+    rng = random.Random(50 + len(space.locations))
+    alg = TraceAlgebra(space)
+    views = [0, 0]
+    for _ in range(30):
+        sets, _ = fusion_inputs(space, alg, rng)
+        for K in sets + [alg.update(0, rng.randint(0, 1), K) for K in sets]:
+            views[built_from_index(K)] += 1
+            for step in space.steps:
+                got = _fused(step, K._firsts)
+                assert all(got.values())  # no empty tail set
+                assert TraceSet._held(got).generators == fused_by_definition(HOLD, (), step, K)
+    assert min(views) > 30
 
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
+def test_held_operations_are_the_fusion_rule(space):
     rng = random.Random(40 + len(space.locations))
     alg = TraceAlgebra(space)
     step_of, stutters = space.step_of, space.stutters
     for _ in range(40):
-        env = {"u": raw_set(space, HOLD, rng, least=1), "v": raw_set(space, CEDE, rng)}
-        # multi-generator sets as the model makes them, beside raw ones
-        released = alg.release(raw_set(space, CEDE, rng, least=1))
-        bound = kleisli(env, raw_set(space, HOLD, rng, least=1))
-        sets = [raw_set(space, HOLD, rng), raw_set(space, HOLD, rng), released, bound]
+        sets, env = fusion_inputs(space, alg, rng)
+        released, bound = sets[2:]
         for K, L in zip(sets, sets[1:] + sets[:1]):
             for loc in range(space.width):
                 mask = space.mask(loc)
                 for bit in (0, 1):
                     want = set()
                     for s in space.stores:
-                        want |= fused(HOLD, (), step_of[s][s | mask if bit else s & ~mask], K)
+                        step = step_of[s][s | mask if bit else s & ~mask]
+                        want |= fused_by_definition(HOLD, (), step, K)
                     assert alg.update(loc, bit, K).generators == want
                 want = set()
                 for s in space.stores:
-                    want |= fused(HOLD, (), stutters[s], L if s & mask else K)
+                    want |= fused_by_definition(HOLD, (), stutters[s], L if s & mask else K)
                 assert alg.lookup(loc, K, L).generators == want
             pre, post = rng.choice(space.stores), rng.choice(space.stores)
-            assert alg.transition(pre, post, K).generators == fused(HOLD, (), step_of[pre][post], K)
+            want = fused_by_definition(HOLD, (), step_of[pre][post], K)
+            assert alg.transition(pre, post, K).generators == want
         for K in (raw_set(space, HOLD, rng, least=1), raw_set(space, CEDE, rng, least=1),
                   released, bound):
             K = sorted_set(K.sort, [g for g in K.generators if g.value_sort is HOLD])
             want = set()
             for g in K.generators:
-                want |= fused(g.start, g.steps[:-1], g.steps[-1], env[g.value])
+                want |= fused_by_definition(g.start, g.steps[:-1], g.steps[-1], env[g.value])
             assert kleisli(env, K).generators == want
+
+
+def held_valued(space, sort, rng, values):
+    """Two to eight held-valued generators of one start sort, each valued
+    by one of ``values``."""
+    return sorted_set(sort, [Trace(sort, g.steps, HOLD, rng.choice(values))
+                             for g in raw_set(space, sort, rng, least=2).generators])
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
+def test_kleisli_shares_one_held_continuation_among_generators(space, monkeypatch):
+    # one generator-built held continuation, bound to two values and met by
+    # several held-valued generators of each, grouped once per call
+    rng = random.Random(60 + len(space.locations))
+    firsts = TraceSet._firsts
+    grouped = []
+
+    def counting(self):
+        grouped.append(self)
+        return firsts.fget(self)
+
+    monkeypatch.setattr(TraceSet, "_firsts", property(counting))
+    shared = 0
+    for _ in range(40):
+        cont = raw_set(space, HOLD, rng, least=2)
+        env = {"u": cont, "w": cont, "v": raw_set(space, CEDE, rng)}
+        for sort in (HOLD, CEDE):
+            K = held_valued(space, sort, rng, "uw")
+            grouped.clear()
+            got = kleisli(env, K)
+            values = {g.value for g in K.generators}
+            assert len(grouped) == len(values) and all(c is cont for c in grouped)
+            assert ref_gens(got) == ref_kleisli(ref_env(env), ref_gens(K))
+            shared += len(K.generators) - len(values)
+    assert shared > 100
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
@@ -884,6 +941,42 @@ def test_held_operations_equal_their_generator_loops(space):
             for L in sets:
                 assert alg.join(HOLD, [K, L]).generators == K.generators | L.generators
     assert mixed > 100
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")
+def test_acquire_skips_released_copies_as_the_generator_loop_drops_them(space, monkeypatch):
+    # release pads a copy behind every stutter; update and lookup move the
+    # stutters that rely on their bit, and a second release, of the
+    # restarted generators, pads the padded copies again
+    import tracealg.model as model_module
+
+    built = []
+
+    def recording(K):
+        built.append(len(K.generators))
+        return canonicalize(K)
+
+    monkeypatch.setattr(model_module, "canonicalize", recording)
+    n = space.width
+    alg = TraceAlgebra(space)
+    cfg = SampleConfig(gens=(1, 4), length=(1, 3))
+    rng = random.Random(f"acquire-copies-{n}")
+    skipped = [0, 0]
+    for i in range(40 if n < 3 else 15):
+        K0, K1 = (random_closed_set(space, CEDE, VALUES, cfg, rng) for _ in range(2))
+        held = alg.release(K0)
+        loc = rng.randrange(n)
+        for padding in range(1 + i % 2):
+            if rng.random() < 0.5:
+                held = alg.update(loc, rng.randrange(2), held)
+            else:
+                held = alg.lookup(loc, held, alg.release(K1))
+            for K in (held, TraceSet(HOLD, held.generators)):  # both views
+                built.clear()
+                assert alg.acquire(K) == loop_acquire(K)
+                skipped[padding] += len(K.generators) - built[0]
+            held = alg.release(sorted_set(CEDE, [Trace(CEDE, *g[1:]) for g in held.generators]))
+    assert min(skipped) > 100  # copies skipped after one round of padding, and after two
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{len(s.locations)}loc")

@@ -18,7 +18,6 @@ import itertools
 from typing import NamedTuple
 
 from tracealg import BROOKES, CEDE, HOLD, TraceSet, canonicalize
-from tracealg.model import _fused
 from tracealg.traces import _trace
 
 
@@ -279,7 +278,7 @@ def ref_gtable_lookup(width: int, loc: int, rows0: tuple, rows1: tuple) -> tuple
 
 
 def loop_update(space, loc: int, bit: int, K: TraceSet) -> TraceSet:
-    mask = space.pre_mask(loc)
+    mask = space.pre_masks[loc]
     want = mask if bit else 0
     table = space.steps
     gens = set()
@@ -294,7 +293,7 @@ def loop_update(space, loc: int, bit: int, K: TraceSet) -> TraceSet:
 
 
 def loop_lookup(space, loc: int, K0: TraceSet, K1: TraceSet) -> TraceSet:
-    mask = space.pre_mask(loc)
+    mask = space.pre_masks[loc]
     gens = {g for g in K0.generators if not g.steps[0] & mask}
     gens.update(g for g in K1.generators if g.steps[0] & mask)
     return TraceSet._built(HOLD, gens)
@@ -312,4 +311,10 @@ def loop_release(space, K: TraceSet) -> TraceSet:
 
 
 def loop_transition(space, pre, post, K: TraceSet) -> TraceSet:
-    return TraceSet._built(HOLD, _fused(HOLD, (), space.step_of[pre][post], K))
+    from_pre = space.step_of[pre]
+    gens = set()
+    for _, steps, value_sort, value in K.generators:
+        first = steps[0]
+        if space.pre_of[first] is post:
+            gens.add(_trace(HOLD, (from_pre[space.post_of[first]],) + steps[1:], value_sort, value))
+    return TraceSet._built(HOLD, gens)
